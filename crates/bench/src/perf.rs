@@ -178,7 +178,7 @@ pub struct BenchReport {
     /// Cold-scenario per-series evaluation latency p99, in seconds.
     pub eval_latency_p99_seconds: f64,
     /// Wall-clock seconds inside `grid.assemble` on the cold scenario —
-    /// the result-folding tail the incremental frontier keeps flat.
+    /// the result-folding tail, including the frontier sort-and-sweep.
     pub assemble_seconds: f64,
     /// Interned-key resolutions (`CellKey` → canonical string) per second.
     pub key_resolutions_per_sec: f64,

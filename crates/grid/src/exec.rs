@@ -11,7 +11,7 @@ use crate::eval::CellOutcome;
 use crate::key::KeyInterner;
 use crate::series::{evaluate_series, plan_series, Series};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
-use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint, ResultStore};
+use crate::store::{ParetoPoint, ResultStore};
 
 /// Explores a [`ScenarioGrid`] on a fixed number of worker threads.
 ///
@@ -45,18 +45,15 @@ struct ExecTelemetry {
     explore_span: SpanHandle,
     eval_span: SpanHandle,
     assemble_span: SpanHandle,
+    frontier_span: SpanHandle,
     cells_total: Counter,
     cells_unique: Counter,
     cells_evaluated: Counter,
     series_built: Counter,
     models_reused: Counter,
     interner_keys: Counter,
-    /// Offers that joined the incremental Pareto frontier (including
-    /// later-evicted ones) and incumbents evicted by dominating offers —
-    /// together they bound the frontier maintenance cost, which tracks
-    /// frontier size instead of `cells × frontier`.
-    frontier_inserts: Counter,
-    frontier_evictions: Counter,
+    /// Points on the assembled Pareto frontier.
+    frontier_size: Counter,
     /// One handle per worker slot, indexed by worker id.
     worker_cells: Vec<Counter>,
     /// Per-series evaluation latency distribution (`grid.series_eval`).
@@ -79,14 +76,14 @@ impl ExecTelemetry {
             explore_span: metrics.span("grid.explore"),
             eval_span: metrics.span("grid.eval"),
             assemble_span: metrics.span("grid.assemble"),
+            frontier_span: metrics.span("grid.frontier"),
             cells_total: metrics.counter("grid.cells_total"),
             cells_unique: metrics.counter("grid.cells_unique"),
             cells_evaluated: metrics.counter("grid.cells_evaluated"),
             series_built: metrics.counter("grid.series_built"),
             models_reused: metrics.counter("grid.models_reused"),
             interner_keys: metrics.counter("grid.interner.keys"),
-            frontier_inserts: metrics.counter("frontier.inserts"),
-            frontier_evictions: metrics.counter("frontier.evictions"),
+            frontier_size: metrics.counter("frontier.size"),
             worker_cells: (0..threads)
                 .map(|i| metrics.counter(&format!("grid.worker.{i}.cells")))
                 .collect(),
@@ -182,11 +179,8 @@ impl GridExecutor {
             .interner_keys
             .add(interner.interned_strings() as u64);
         let workers = self.threads.min(job_cells.len()).max(1);
-        let mut frontier = FrontierBuilder::new();
-        let outcomes = self.evaluate_jobs(grid, &job_cells, workers, |job, outcome| {
-            frontier.insert_outcome(job, outcome);
-        });
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers, frontier))
+        let outcomes = self.evaluate_jobs(grid, &job_cells, workers);
+        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers))
     }
 
     /// Like [`GridExecutor::explore`], but resolves every job against
@@ -218,7 +212,6 @@ impl GridExecutor {
             .add(interner.interned_strings() as u64);
         let workers = self.threads.min(job_cells.len()).max(1);
 
-        let mut frontier = FrontierBuilder::new();
         let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(job_cells.len());
         let mut miss_slots: Vec<usize> = Vec::new();
         let mut miss_cells: Vec<GridCell> = Vec::new();
@@ -226,10 +219,7 @@ impl GridExecutor {
         for (slot, cell) in job_cells.iter().enumerate() {
             interner.resolve_into(interner.key(cell), &mut key_buf);
             match cache.lookup(&key_buf) {
-                Some(outcome) => {
-                    frontier.insert_outcome(slot, &outcome);
-                    outcomes.push(Some(outcome));
-                }
+                Some(outcome) => outcomes.push(Some(outcome)),
                 None => {
                     outcomes.push(None);
                     miss_slots.push(slot);
@@ -238,20 +228,7 @@ impl GridExecutor {
             }
         }
 
-        let fresh = {
-            let miss_slots = &miss_slots;
-            let frontier = &mut frontier;
-            self.evaluate_jobs(
-                grid,
-                &miss_cells,
-                workers.min(miss_cells.len()).max(1),
-                // `evaluate_jobs` indexes into its own job list; map back
-                // to the global job slot before offering to the frontier.
-                |local, outcome| {
-                    frontier.insert_outcome(miss_slots[local], outcome);
-                },
-            )
-        };
+        let fresh = self.evaluate_jobs(grid, &miss_cells, workers.min(miss_cells.len()).max(1));
         for ((slot, cell), outcome) in miss_slots.into_iter().zip(&miss_cells).zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome.clone());
             outcomes[slot] = Some(outcome);
@@ -261,7 +238,7 @@ impl GridExecutor {
             .into_iter()
             .map(|o| o.expect("every job is cached or evaluated"))
             .collect();
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers, frontier))
+        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers))
     }
 
     /// Resolves an explicit list of cells against `cache`: cached cells
@@ -287,7 +264,7 @@ impl GridExecutor {
             }
         }
         let workers = self.threads.min(miss_cells.len()).max(1);
-        let fresh = self.evaluate_jobs(grid, &miss_cells, workers, |_, _| {});
+        let fresh = self.evaluate_jobs(grid, &miss_cells, workers);
         for (cell, outcome) in miss_cells.iter().zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome);
         }
@@ -295,17 +272,11 @@ impl GridExecutor {
 
     /// Evaluates `jobs` serially or fanned out, per `workers`, through
     /// the series planner: one capability model per rate-axis series.
-    ///
-    /// `observe` sees every `(job index, outcome)` pair **as results
-    /// stream in** (on the calling thread, in arrival order) — the hook
-    /// the incremental frontier rides, so aggregation overlaps
-    /// evaluation instead of re-scanning the finished job list.
     fn evaluate_jobs(
         &self,
         grid: &ScenarioGrid,
         jobs: &[GridCell],
         workers: usize,
-        mut observe: impl FnMut(usize, &CellOutcome),
     ) -> Vec<CellOutcome> {
         if jobs.is_empty() {
             return Vec::new();
@@ -322,7 +293,6 @@ impl GridExecutor {
             let mut slots: Vec<Option<CellOutcome>> = vec![None; jobs.len()];
             for s in &series {
                 for (job, outcome) in self.telemetry.timed_series(grid, s) {
-                    observe(job, &outcome);
                     slots[job] = Some(outcome);
                 }
             }
@@ -331,13 +301,13 @@ impl GridExecutor {
                 .map(|o| o.expect("series cover the job list"))
                 .collect()
         } else {
-            fan_out(grid, jobs.len(), &series, workers, &self.telemetry, observe)
+            fan_out(grid, jobs.len(), &series, workers, &self.telemetry)
         }
     }
 
-    /// Folds evaluated job outcomes into the final results record. The
-    /// frontier arrives pre-built (streamed during evaluation); assemble
-    /// only restores the canonical order and resolves the survivors.
+    /// Folds evaluated job outcomes into the final results record and
+    /// computes the Pareto frontier once, by sort-and-sweep over the
+    /// finished store (the `grid.frontier` span).
     fn assemble(
         &self,
         grid: &ScenarioGrid,
@@ -345,13 +315,14 @@ impl GridExecutor {
         job_cells: Vec<GridCell>,
         outcomes: Vec<CellOutcome>,
         workers: usize,
-        frontier: FrontierBuilder,
     ) -> GridResults {
         let _assemble = self.telemetry.assemble_span.start();
-        self.telemetry.frontier_inserts.add(frontier.inserts());
-        self.telemetry.frontier_evictions.add(frontier.evictions());
         let store = ResultStore::new(cell_to_job, job_cells, outcomes);
-        let frontier = resolve_frontier(&store, frontier);
+        let frontier = {
+            let _frontier = self.telemetry.frontier_span.start();
+            store.pareto_frontier()
+        };
+        self.telemetry.frontier_size.add(frontier.len() as u64);
         GridResults {
             grid: grid.clone(),
             store,
@@ -369,17 +340,12 @@ impl GridExecutor {
 /// a thread-local count and publishes once on exit into
 /// `grid.worker.{i}.cells` — the hot loop performs no shared-memory
 /// telemetry traffic and one channel send per *series*, not per cell.
-///
-/// `observe` runs on the collecting (calling) thread only, in batch
-/// arrival order — workers never touch it, so it needs no
-/// synchronisation and may borrow freely from the caller's stack.
 fn fan_out(
     grid: &ScenarioGrid,
     n_jobs: usize,
     series: &[Series],
     workers: usize,
     telemetry: &ExecTelemetry,
-    mut observe: impl FnMut(usize, &CellOutcome),
 ) -> Vec<CellOutcome> {
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<Vec<(usize, CellOutcome)>>();
@@ -406,7 +372,6 @@ fn fan_out(
         let mut slots: Vec<Option<CellOutcome>> = vec![None; n_jobs];
         for batch in rx {
             for (job, outcome) in batch {
-                observe(job, &outcome);
                 slots[job] = Some(outcome);
             }
         }
@@ -563,6 +528,11 @@ mod tests {
             })
             .sum();
         assert_eq!(workers, results.unique_evaluations() as u64);
+        assert_eq!(
+            snapshot.counter("frontier.size"),
+            Some(results.pareto_frontier().len() as u64)
+        );
+        assert!(snapshot.span_seconds("grid.frontier").is_some());
     }
 
     #[test]

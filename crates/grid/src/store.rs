@@ -1,5 +1,8 @@
 //! Result storage: cell→job deduplication and Pareto aggregation.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BTreeMap;
+
 use crate::eval::{CellOutcome, PlannedPoint};
 use crate::key::KeyInterner;
 use crate::spec::{GridCell, ScenarioGrid};
@@ -88,6 +91,34 @@ impl ResultStore {
     pub fn jobs(&self) -> impl Iterator<Item = (&GridCell, &CellOutcome)> {
         self.job_cells.iter().zip(self.outcomes.iter())
     }
+
+    /// The Pareto frontier over the jobs whose outcomes carry
+    /// [`PlannedPoint::objectives`], in job order. Sorts `u32` job
+    /// indices, never copies of the objectives, so the transient buffer
+    /// stays at 4 bytes per candidate.
+    #[must_use]
+    pub(crate) fn pareto_frontier(&self) -> Vec<ParetoPoint> {
+        let objectives = |job: u32| {
+            self.outcomes[job as usize]
+                .planned()
+                .and_then(PlannedPoint::objectives)
+        };
+        let jobs = u32::try_from(self.outcomes.len()).expect("job count fits in u32");
+        let candidates = (0..jobs).filter(|&job| objectives(job).is_some()).collect();
+        sweep_frontier(candidates, |job| {
+            objectives(job).expect("candidates carry objectives")
+        })
+        .into_iter()
+        .filter_map(|job| {
+            let point = self.outcomes[job as usize].planned()?;
+            Some(ParetoPoint {
+                cell: self.job_cells[job as usize],
+                objectives: point.objectives()?,
+                point: point.clone(),
+            })
+        })
+        .collect()
+    }
 }
 
 /// One point of the Pareto frontier: a feasible scenario no other feasible
@@ -131,25 +162,88 @@ pub fn non_dominated(points: &[[f64; 3]]) -> Vec<usize> {
         .collect()
 }
 
-/// An incrementally maintained Pareto frontier (maximising every
-/// coordinate): points are offered one at a time as results stream out
-/// of the evaluator, dominated offers are rejected on the spot, and
-/// accepted offers evict any incumbents they dominate. The surviving
-/// set equals the batch [`non_dominated`] scan of the same points —
-/// domination is transitive, so an evicted incumbent can never shield a
-/// third point — but the cost tracks `cells × frontier` only through
-/// the *current* frontier size rather than the full candidate set, and
-/// no candidate buffer is ever materialised.
+/// A total order on non-NaN floats under which `-0.0 == 0.0`, exactly
+/// as [`dominates`] compares them. `f64::total_cmp` would order the two
+/// zeros apart and split one tie group into two.
+#[derive(Clone, Copy, PartialEq)]
+struct Coord(f64);
+
+impl Eq for Coord {}
+
+impl PartialOrd for Coord {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Coord {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .partial_cmp(&other.0)
+            .expect("NaN points never reach the sweep")
+    }
+}
+
+/// The non-dominated members of `candidates` (maximising every
+/// coordinate of `objectives`), ascending. The same set as
+/// [`non_dominated`], in `O(n log n)`: the d=3 maxima sweep of Kung,
+/// Luccio & Preparata (JACM 1975).
 ///
-/// Insertion order does not affect the surviving set. The canonical
-/// report order is restored by [`FrontierBuilder::finish`], which sorts
-/// by the caller's index (the grid's job order) — this is what keeps
-/// stdout byte-identical across thread and shard counts.
+/// Candidates are visited in descending (saving, utilisation, lifetime)
+/// order, so every point that could dominate a candidate has been visited
+/// before it. The visited points' (utilisation, lifetime) maxima are kept
+/// as a staircase — lifetime falls as utilisation rises — and a
+/// candidate is dominated exactly when the first step at or above its
+/// utilisation reaches its lifetime. Runs of identical triples are
+/// decided as one group, since equal points never dominate each other.
+/// A point with a NaN coordinate compares false both ways, so it is
+/// always kept and never shields another.
+fn sweep_frontier<I: Copy + Ord>(
+    mut candidates: Vec<I>,
+    objectives: impl Fn(I) -> [f64; 3],
+) -> Vec<I> {
+    let mut survivors = Vec::new();
+    candidates.retain(|&i| {
+        let nan = objectives(i).iter().any(|x| x.is_nan());
+        if nan {
+            survivors.push(i);
+        }
+        !nan
+    });
+    let key = |i: I| objectives(i).map(Coord);
+    candidates.sort_unstable_by_key(|&i| Reverse(key(i)));
+
+    let mut staircase: BTreeMap<Coord, Coord> = BTreeMap::new();
+    for group in candidates.chunk_by(|&a, &b| key(a) == key(b)) {
+        let [_, utilisation, lifetime] = key(group[0]);
+        if staircase
+            .range(utilisation..)
+            .next()
+            .is_some_and(|(_, &held)| held >= lifetime)
+        {
+            continue;
+        }
+        while let Some((&step, &held)) = staircase.range(..=utilisation).next_back() {
+            if held > lifetime {
+                break;
+            }
+            staircase.remove(&step);
+        }
+        staircase.insert(utilisation, lifetime);
+        survivors.extend_from_slice(group);
+    }
+    survivors.sort_unstable();
+    survivors
+}
+
+/// A Pareto frontier over points offered one at a time (maximising every
+/// coordinate). Offers are only buffered; [`FrontierBuilder::finish`]
+/// runs the same sort-and-sweep as the executor, so its survivors equal
+/// the batch [`non_dominated`] scan of the same points for any offer
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct FrontierBuilder {
     points: Vec<(usize, [f64; 3])>,
-    inserts: u64,
-    evictions: u64,
 }
 
 impl FrontierBuilder {
@@ -159,56 +253,18 @@ impl FrontierBuilder {
         FrontierBuilder::default()
     }
 
-    /// Offers one point (tagged with the caller's `index`, typically a
-    /// job ordinal). Returns whether it joined the frontier.
-    pub fn insert(&mut self, index: usize, objectives: [f64; 3]) -> bool {
-        if self
-            .points
-            .iter()
-            .any(|(_, held)| dominates(held, &objectives))
-        {
-            return false;
-        }
-        let before = self.points.len();
-        self.points
-            .retain(|(_, held)| !dominates(&objectives, held));
-        self.evictions += (before - self.points.len()) as u64;
+    /// Offers one point, tagged with the caller's `index` (typically a
+    /// job ordinal).
+    pub fn insert(&mut self, index: usize, objectives: [f64; 3]) {
         self.points.push((index, objectives));
-        self.inserts += 1;
-        true
     }
 
     /// Offers an outcome: only feasible, fully modelled points with a
     /// measurable saving carry objectives; everything else is a no-op.
-    pub fn insert_outcome(&mut self, index: usize, outcome: &CellOutcome) -> bool {
-        match outcome.planned().and_then(PlannedPoint::objectives) {
-            Some(objectives) => self.insert(index, objectives),
-            None => false,
+    pub fn insert_outcome(&mut self, index: usize, outcome: &CellOutcome) {
+        if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
+            self.insert(index, objectives);
         }
-    }
-
-    /// Current frontier size.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no offer has survived.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Offers that joined the frontier (including later-evicted ones).
-    #[must_use]
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Incumbents evicted by later, dominating offers.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// The surviving `(index, objectives)` pairs, sorted ascending by
@@ -216,27 +272,12 @@ impl FrontierBuilder {
     #[must_use]
     pub fn finish(mut self) -> Vec<(usize, [f64; 3])> {
         self.points.sort_unstable_by_key(|&(index, _)| index);
-        self.points
+        let points = self.points;
+        sweep_frontier((0..points.len()).collect(), |slot| points[slot].1)
+            .into_iter()
+            .map(|slot| points[slot])
+            .collect()
     }
-}
-
-/// Resolves a streamed frontier against the finished store: the builder
-/// tagged each survivor with its job ordinal, so this only clones the
-/// frontier-sized slice of planned points — never the full job list.
-#[must_use]
-pub(crate) fn resolve_frontier(store: &ResultStore, builder: FrontierBuilder) -> Vec<ParetoPoint> {
-    builder
-        .finish()
-        .into_iter()
-        .filter_map(|(job, objectives)| {
-            let point = store.outcomes[job].planned()?;
-            Some(ParetoPoint {
-                cell: store.job_cells[job],
-                point: point.clone(),
-                objectives,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -279,24 +320,10 @@ mod tests {
     #[test]
     fn incremental_frontier_matches_batch_scan() {
         assert_builder_matches_batch(&[[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [2.0, 0.1, 0.1]]);
-        // Reversed: the dominating point arrives last and must evict.
+        // Reversed: the dominating point arrives last.
         assert_builder_matches_batch(&[[0.5, 0.5, 0.5], [2.0, 0.1, 0.1], [1.0, 1.0, 1.0]]);
         // Equal points are mutually kept.
         assert_builder_matches_batch(&[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]);
         assert_builder_matches_batch(&[]);
-    }
-
-    #[test]
-    fn builder_counts_inserts_and_evictions() {
-        let mut builder = FrontierBuilder::new();
-        assert!(builder.insert(0, [0.5, 0.5, 0.5]));
-        assert!(builder.insert(1, [0.4, 0.9, 0.5]));
-        // Dominates both incumbents: two evictions, one insert.
-        assert!(builder.insert(2, [1.0, 1.0, 1.0]));
-        // Dominated offer: rejected, no counter movement.
-        assert!(!builder.insert(3, [0.9, 0.9, 0.9]));
-        assert_eq!(builder.inserts(), 3);
-        assert_eq!(builder.evictions(), 2);
-        assert_eq!(builder.len(), 1);
     }
 }

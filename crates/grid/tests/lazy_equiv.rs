@@ -1,7 +1,7 @@
 //! Property equivalences for the warm-path machinery: the lazy
 //! [`CacheView`] must answer exactly like an eager load, the parallel
 //! k-way merge must be byte-for-byte the serial merge, and the
-//! incremental frontier must survive exactly the batch non-domination
+//! sort-and-sweep frontier must survive exactly the batch non-domination
 //! scan. Each property runs over arbitrary subsets of a real explored
 //! corpus, so every outcome variant the models actually produce is
 //! exercised — not just hand-built fixtures.
@@ -179,18 +179,29 @@ proptest! {
         prop_assert_eq!(parallel.len(), len_before);
     }
 
-    /// The incremental frontier builder keeps exactly the batch
-    /// non-dominated set, whatever the insertion order.
+    /// The frontier builder's sort-and-sweep keeps exactly the batch
+    /// non-dominated set, whatever the insertion order — over continuous
+    /// coordinates, and over coordinates drawn from
+    /// `{-0.0, 0.0, 0.5, 1.0}`, which are full of duplicates, ties and
+    /// signed zeros that continuous draws never produce.
     #[test]
     fn incremental_frontier_equals_batch_non_domination(
-        raw in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..20.0f64), 0..50)
+        raw in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..20.0f64), 0..50),
+        tied in prop::collection::vec((0..4usize, 0..4usize, 0..4usize), 0..50)
     ) {
-        let points: Vec<[f64; 3]> = raw.iter().map(|&(a, b, c)| [a, b, c]).collect();
-        let mut builder = FrontierBuilder::new();
-        for (i, &p) in points.iter().enumerate() {
-            builder.insert(i, p);
+        const LEVELS: [f64; 4] = [-0.0, 0.0, 0.5, 1.0];
+        let continuous: Vec<[f64; 3]> = raw.iter().map(|&(a, b, c)| [a, b, c]).collect();
+        let tie_heavy: Vec<[f64; 3]> = tied
+            .iter()
+            .map(|&(a, b, c)| [LEVELS[a], LEVELS[b], LEVELS[c]])
+            .collect();
+        for points in [continuous, tie_heavy] {
+            let mut builder = FrontierBuilder::new();
+            for (i, &p) in points.iter().enumerate() {
+                builder.insert(i, p);
+            }
+            let survivors: Vec<usize> = builder.finish().into_iter().map(|(i, _)| i).collect();
+            prop_assert_eq!(survivors, non_dominated(&points));
         }
-        let survivors: Vec<usize> = builder.finish().into_iter().map(|(i, _)| i).collect();
-        prop_assert_eq!(survivors, non_dominated(&points));
     }
 }

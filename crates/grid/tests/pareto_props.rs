@@ -1,6 +1,6 @@
-//! Property tests for the Pareto-frontier extraction.
+//! Property and equivalence tests for the Pareto-frontier extraction.
 
-use memstream_grid::non_dominated;
+use memstream_grid::{non_dominated, FrontierBuilder, GridCell, GridExecutor, ScenarioGrid};
 use proptest::prelude::*;
 
 fn dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
@@ -61,5 +61,54 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+}
+
+#[test]
+fn builder_keeps_tied_copies_and_treats_signed_zeros_as_equal() {
+    // Equal triples survive together, -0.0 ties 0.0, and a NaN
+    // coordinate neither dominates nor is dominated.
+    let points = [
+        [0.5, 0.0, 1.0],
+        [0.5, -0.0, 1.0],
+        [0.5, 0.0, 0.5],
+        [0.4, 1.0, 1.0],
+        [f64::NAN, 0.0, 0.0],
+        [0.4, 1.0, 1.0],
+        [0.5, 1.0, -0.0],
+    ];
+    assert_eq!(non_dominated(&points), vec![0, 1, 3, 4, 5, 6]);
+    let mut builder = FrontierBuilder::new();
+    for (i, &p) in points.iter().enumerate().rev() {
+        builder.insert(i, p);
+    }
+    let survivors: Vec<usize> = builder.finish().into_iter().map(|(i, _)| i).collect();
+    assert_eq!(survivors, non_dominated(&points));
+}
+
+#[test]
+fn executor_frontier_equals_batch_non_domination_over_the_store() {
+    // `paper_baseline(1)` panics by design (a rate span needs two
+    // points), so the smallest grid checked has 2 rates.
+    for rates in [2, 7, 50] {
+        let results = GridExecutor::parallel(2)
+            .explore(&ScenarioGrid::paper_baseline(rates))
+            .unwrap();
+        let (cells, objectives): (Vec<GridCell>, Vec<[f64; 3]>) = results
+            .store()
+            .jobs()
+            .filter_map(|(cell, outcome)| Some((*cell, outcome.planned()?.objectives()?)))
+            .unzip();
+        let expected: Vec<(GridCell, [f64; 3])> = non_dominated(&objectives)
+            .into_iter()
+            .map(|i| (cells[i], objectives[i]))
+            .collect();
+        let frontier: Vec<(GridCell, [f64; 3])> = results
+            .pareto_frontier()
+            .iter()
+            .map(|p| (p.cell, p.objectives()))
+            .collect();
+        assert!(!frontier.is_empty());
+        assert_eq!(frontier, expected, "paper_baseline({rates})");
     }
 }

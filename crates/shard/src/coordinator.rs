@@ -30,8 +30,8 @@ use std::io::Write as _;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
@@ -745,6 +745,33 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     }
 }
 
+/// Tells the watchdog to exit: a flag plus the condition variable its
+/// tick waits on, so raising the flag ends the wait at once instead of
+/// after the rest of a tick.
+#[derive(Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    raised: Condvar,
+}
+
+// A poisoned lock is recovered: a lone `bool` is valid at every step.
+impl StopSignal {
+    fn raise(&self) {
+        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.raised.notify_all();
+    }
+
+    /// Waits out one `tick`; returns whether the signal was raised.
+    fn wait(&self, tick: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let (stopped, _) = self
+            .raised
+            .wait_timeout_while(stopped, tick, |stopped| !*stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        *stopped
+    }
+}
+
 /// The stall watchdog: ticks until stopped, reclaiming (and killing)
 /// workers that hold leases but have written nothing for the deadline.
 /// Once the queue is drained it also kills any unresponsive straggler so
@@ -753,11 +780,10 @@ fn run_watchdog(
     shared: &Arc<LeaseShared>,
     children: &[Option<SharedChild>],
     deadline: Duration,
-    stop: &AtomicBool,
+    stop: &StopSignal,
 ) {
     let tick = (deadline / 4).clamp(Duration::from_millis(10), Duration::from_millis(200));
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
+    while !stop.wait(tick) {
         let Ok(mut state) = shared.state.lock() else {
             return;
         };
@@ -980,7 +1006,7 @@ pub fn explore_sharded(
 
     // The watchdog lives as long as the collectors do: joins below rely
     // on it to unstick stalled workers.
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(StopSignal::default());
     let watchdog = children.iter().any(Option::is_some).then(|| {
         let shared = Arc::clone(&shared);
         let children = children.clone();
@@ -1098,7 +1124,7 @@ pub fn explore_sharded(
         }
         workers.push(report);
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.raise();
     if let Some(watchdog) = watchdog {
         let _ = watchdog.join();
     }
@@ -1153,6 +1179,22 @@ pub fn explore_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn raising_the_stop_signal_ends_a_watchdog_wait_at_once() {
+        // The waiter may start before or after the raise; either way it
+        // must return long before its hour-long tick.
+        let signal = Arc::new(StopSignal::default());
+        let started = Instant::now();
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || signal.wait(Duration::from_secs(3600)))
+        };
+        signal.raise();
+        assert!(waiter.join().expect("waiter thread"));
+        assert!(signal.wait(Duration::from_secs(3600)), "stays raised");
+        assert!(started.elapsed() < Duration::from_secs(60));
+    }
 
     #[test]
     fn shard_ranges_partition_without_gaps_or_overlap() {
