@@ -529,27 +529,52 @@ fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
     }
 }
 
-/// Loads the result cache at `path`, exiting 2 on I/O errors (shared by
-/// the `grid` and `refine` subcommands). Lazy: a valid v2 file is
-/// indexed, not decoded — warm planning probes the index and only
-/// looked-up records are ever decoded (`cache.records_decoded`).
-fn load_cache(path: &str) -> memstream_grid::ResultCache {
-    memstream_grid::ResultCache::load_lazy(path).unwrap_or_else(|e| {
-        eprintln!("cache load error: {e}");
-        std::process::exit(2);
-    })
+/// Loads the result cache at `path` under the `cache.load` span, exiting
+/// 2 on I/O errors (shared by the `grid` and `refine` subcommands). Lazy:
+/// a valid v2 file is indexed, not decoded — warm planning probes the
+/// index and only looked-up records are ever decoded
+/// (`cache.records_decoded`). A file with another header (an older key
+/// generation) is named on stderr; the run starts cold and its save
+/// rewrites the file in `format`.
+fn load_cache(
+    path: &str,
+    format: memstream_grid::CacheFormat,
+    metrics: &memstream_grid::Metrics,
+) -> memstream_grid::ResultCache {
+    let cache = {
+        let _load = metrics.span("cache.load").start();
+        memstream_grid::ResultCache::load_lazy(path).unwrap_or_else(|e| {
+            eprintln!("cache load error: {e}");
+            std::process::exit(2);
+        })
+    };
+    if let Some(found) = cache.stale_header() {
+        eprintln!(
+            "cache file {path}: found header `{found}`, expected `{}`; \
+             starting cold and rewriting it",
+            format.header()
+        );
+    }
+    cache
 }
 
-/// Saves `cache` to `path` in `format`, exiting 2 on I/O errors.
+/// Saves `cache` to `path` in `format`, exiting 2 on I/O errors. A file
+/// the run did not change is not rewritten
+/// ([`memstream_grid::ResultCache::needs_save`]). Returns what happened,
+/// for the stderr accounting line.
 fn save_cache(
     cache: &memstream_grid::ResultCache,
     path: &str,
     format: memstream_grid::CacheFormat,
-) {
+) -> &'static str {
+    if !cache.needs_save(format) {
+        return "unchanged, not rewritten";
+    }
     cache.save_as(path, format).unwrap_or_else(|e| {
         eprintln!("cache save error: {e}");
         std::process::exit(2);
     });
+    "saved"
 }
 
 /// One cached exploration with the `grid` subcommand's error handling,
@@ -631,7 +656,9 @@ fn grid(args: &[String]) {
         );
         let mut cache = cache_path
             .as_deref()
-            .map_or_else(memstream_grid::ResultCache::new, load_cache);
+            .map_or_else(memstream_grid::ResultCache::new, |path| {
+                load_cache(path, shared.cache_format, &metrics)
+            });
         cache.set_metrics(&metrics);
         let run = memstream_shard::explore_sharded(
             &shared.recipe(),
@@ -649,9 +676,9 @@ fn grid(args: &[String]) {
             // the healthy shards' work — persist it before failing and a
             // retry proceeds warm from everything that did complete.
             if let Some(path) = &cache_path {
-                save_cache(&cache, path, shared.cache_format);
+                let saved = save_cache(&cache, path, shared.cache_format);
                 eprintln!(
-                    "cache file: {} entries saved (healthy shards only)",
+                    "cache file: {} entries {saved} (healthy shards only)",
                     cache.len()
                 );
             }
@@ -660,8 +687,8 @@ fn grid(args: &[String]) {
         }
         let results = explore_cached_or_exit(executor, &spec, &mut cache);
         if let Some(path) = &cache_path {
-            save_cache(&cache, path, shared.cache_format);
-            eprintln!("cache file: {} entries saved", cache.len());
+            let saved = save_cache(&cache, path, shared.cache_format);
+            eprintln!("cache file: {} entries {saved}", cache.len());
         }
         results
     } else {
@@ -672,21 +699,21 @@ fn grid(args: &[String]) {
         );
         match &cache_path {
             Some(path) => {
-                let mut cache = load_cache(path);
+                let mut cache = load_cache(path, shared.cache_format, &metrics);
                 cache.set_metrics(&metrics);
                 let results = explore_cached_or_exit(executor, &spec, &mut cache);
+                let saved = save_cache(&cache, path, shared.cache_format);
                 // The accounting line is driven from the telemetry
                 // counters (attached right after load, so they equal the
                 // cache's own tallies) — one source for stderr and
                 // `--stats-json`.
                 let snapshot = metrics.snapshot();
                 eprintln!(
-                    "cache: {} hits, {} misses ({} entries saved)",
+                    "cache: {} hits, {} misses ({} entries {saved})",
                     snapshot.counter("cache.hits").unwrap_or(0),
                     snapshot.counter("cache.misses").unwrap_or(0),
                     cache.len()
                 );
-                save_cache(&cache, path, shared.cache_format);
                 results
             }
             None => executor.explore(&spec).unwrap_or_else(|e| {
@@ -783,7 +810,9 @@ fn refine(args: &[String]) {
             .with_width_bound(width_bound)
             .with_max_rounds(max_rounds),
     );
-    let mut cache = cache_path.as_deref().map(load_cache);
+    let mut cache = cache_path
+        .as_deref()
+        .map(|path| load_cache(path, shared.cache_format, &metrics));
     if let Some(cache) = cache.as_mut() {
         cache.set_metrics(&metrics);
     }
@@ -813,9 +842,9 @@ fn refine(args: &[String]) {
             // healthy work of every completed round (plus the failed
             // round's healthy shards) — persist it so a retry runs warm.
             if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-                save_cache(cache, path, shared.cache_format);
+                let saved = save_cache(cache, path, shared.cache_format);
                 eprintln!(
-                    "cache file: {} entries saved (completed work only)",
+                    "cache file: {} entries {saved} (completed work only)",
                     cache.len()
                 );
             }
@@ -847,8 +876,8 @@ fn refine(args: &[String]) {
         )
     );
     if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-        save_cache(cache, path, shared.cache_format);
-        eprintln!("cache file: {} entries saved", cache.len());
+        let saved = save_cache(cache, path, shared.cache_format);
+        eprintln!("cache file: {} entries {saved}", cache.len());
     }
     shared.emit_stats(&metrics);
     shared.emit_trace(&tracer, worker_traces);

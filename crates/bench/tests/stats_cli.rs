@@ -137,6 +137,67 @@ fn grid_stderr_accounting_agrees_with_the_json_snapshot() {
     }
 }
 
+fn span_entries(doc: &Json, name: &str) -> u64 {
+    doc.get("spans")
+        .and_then(|s| s.get(name))
+        .and_then(|s| s.get("entries"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("snapshot lacks span {name}"))
+}
+
+/// A fully warm `--cache` run times its one load under `cache.load` and
+/// does not rewrite the unchanged file: `cache.save` is never entered —
+/// for `grid` and `refine`, in-process and sharded, in either encoding.
+#[test]
+fn a_warm_cache_run_loads_once_and_never_saves() {
+    let json = temp_path("warm-spans.json");
+    let json_str = json.to_str().expect("utf-8 temp path");
+    for (i, (command, shards, format)) in [
+        ("grid", None, "v1"),
+        ("grid", Some("2"), "v2"),
+        ("refine", None, "v2"),
+        ("refine", Some("2"), "v1"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cache = temp_path(&format!("warm-spans-{i}.cache"));
+        let _ = std::fs::remove_file(&cache);
+        let cache_str = cache.to_str().expect("utf-8 temp path");
+        let mut args = vec![
+            command,
+            "--rates",
+            "5",
+            "--cache",
+            cache_str,
+            "--cache-format",
+            format,
+        ];
+        if command == "refine" {
+            args.extend(["--max-rounds", "2"]);
+        }
+        if let Some(shards) = shards {
+            args.extend(["--shards", shards]);
+        }
+        let cold = stdout_of(&args);
+        let filled = std::fs::read(&cache).expect("cold run writes the cache");
+        args.extend(["--stats-json", json_str]);
+        let output = run(&args);
+        assert!(output.status.success(), "{args:?}");
+        assert_eq!(output.stdout, cold.as_bytes(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("not rewritten"), "{args:?}:\n{stderr}");
+        let doc = parse(&std::fs::read_to_string(&json).expect("snapshot written"))
+            .expect("snapshot parses");
+        assert_eq!(span_entries(&doc, "cache.load"), 1, "{args:?}");
+        assert_eq!(span_entries(&doc, "cache.save"), 0, "{args:?}");
+        assert_eq!(counter(&doc, "cache.save_bytes"), 0, "{args:?}");
+        assert_eq!(std::fs::read(&cache).unwrap(), filled, "{args:?}");
+        std::fs::remove_file(cache).unwrap();
+    }
+    std::fs::remove_file(json).unwrap();
+}
+
 #[test]
 fn refine_stderr_accounting_agrees_with_the_json_snapshot() {
     let json = temp_path("refine-equiv.json");

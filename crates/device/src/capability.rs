@@ -188,6 +188,12 @@ pub trait StorageDevice: fmt::Debug + Send + Sync {
 
     /// A canonical content key: two devices with equal tokens model the
     /// same physics regardless of display names.
+    ///
+    /// The registered devices write `kind:<name length>:<name>` followed
+    /// by every model field in a fixed order, each as `,<value>` (floats
+    /// in shortest round-trip form, integers as plain decimals; see
+    /// `docs/CACHE_FORMAT.md` § "Keys"). No Rust field or type name
+    /// appears, so renaming a field leaves every cached key valid.
     fn dedup_token(&self) -> String;
 
     /// Raw media capacity.
@@ -232,6 +238,36 @@ pub trait StorageDevice: fmt::Debug + Send + Sync {
 impl Clone for Box<dyn StorageDevice> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// Writes a canonical [`StorageDevice::dedup_token`]: the kind tag, the
+/// byte-length-prefixed device name, then one `,<value>` per model field.
+/// The length prefix keeps any name unambiguous, and every field kind
+/// prints without a `,`, so equal tokens mean equal fields.
+pub(crate) struct DedupToken(String);
+
+impl DedupToken {
+    pub(crate) fn new(kind: &str, name: &str) -> Self {
+        DedupToken(format!("{kind}:{}:{name}", name.len()))
+    }
+
+    /// Appends a float in its shortest round-trip form (`{:?}`).
+    pub(crate) fn float(mut self, value: f64) -> Self {
+        use fmt::Write as _;
+        let _ = write!(self.0, ",{value:?}");
+        self
+    }
+
+    /// Appends an integer as a plain decimal.
+    pub(crate) fn int(mut self, value: u32) -> Self {
+        use fmt::Write as _;
+        let _ = write!(self.0, ",{value}");
+        self
+    }
+
+    pub(crate) fn finish(self) -> String {
+        self.0
     }
 }
 
@@ -296,7 +332,7 @@ impl<D: StorageDevice + Clone + 'static> StorageDevice for EnergyOnly<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskDevice, FlashDevice, MemsDevice};
+    use crate::{DiskDevice, FlashDevice, MemsDevice, ProbeArray};
 
     fn capability_row(d: &dyn StorageDevice) -> (bool, bool, bool, bool) {
         (
@@ -337,6 +373,239 @@ mod tests {
         assert!(FlashDevice::mobile_mlc()
             .dedup_token()
             .starts_with("flash:"));
+    }
+
+    const MEMS_TOKEN: &str = "mems:34:IBM-prototype MEMS store (Table I),\
+        64,64,1024,100.0,960000000000.0,100000.0,0.002,0.001,0.002,\
+        0.316,0.672,0.005,0.12,0.672,100.0,100000000.0";
+    const DISK_TOKEN: &str = "disk:30:calibrated 1.8-inch disk drive,\
+        640000000000.0,100000000.0,2.5,1.0,2.2,0.8,1.4,0.4,0.1,100000.0,0.95";
+    const FLASH_TOKEN: &str = "flash:29:mobile MLC flash (2011 class),\
+        512000000000.0,160000000.0,0.0005,0.0003,0.0005,0.06,0.24,0.08,0.0001,\
+        4194304.0,3000.0,1.1,0.93";
+
+    #[test]
+    fn stock_devices_have_golden_canonical_tokens() {
+        assert_eq!(MemsDevice::table1().dedup_token(), MEMS_TOKEN);
+        assert_eq!(DiskDevice::calibrated_1p8_inch().dedup_token(), DISK_TOKEN);
+        assert_eq!(FlashDevice::mobile_mlc().dedup_token(), FLASH_TOKEN);
+        assert_eq!(
+            EnergyOnly::new(DiskDevice::calibrated_1p8_inch()).dedup_token(),
+            format!("energy-only:{DISK_TOKEN}")
+        );
+    }
+
+    #[test]
+    fn tokens_carry_no_rust_field_or_type_names() {
+        let tokens = [
+            MemsDevice::table1().dedup_token(),
+            DiskDevice::calibrated_1p8_inch().dedup_token(),
+            FlashDevice::mobile_mlc().dedup_token(),
+            EnergyOnly::new(MemsDevice::table1()).dedup_token(),
+        ];
+        let names = [
+            "MemsDevice",
+            "DiskDevice",
+            "FlashDevice",
+            "EnergyOnly",
+            "ProbeArray",
+            "DataSize",
+            "BitRate",
+            "Duration",
+            "Power",
+            "bits",
+            "seconds",
+            "watts",
+        ];
+        for token in &tokens {
+            assert!(!token.contains('{') && !token.contains(": "), "{token}");
+            for name in names {
+                assert!(!token.contains(name), "`{name}` in {token}");
+            }
+        }
+    }
+
+    /// Every token differs from the stock one and from each other.
+    fn assert_all_distinct(stock: &str, variants: &[(&str, String)]) {
+        let mut seen = std::collections::HashSet::from([stock.to_owned()]);
+        for (field, token) in variants {
+            assert!(
+                seen.insert(token.clone()),
+                "changing `{field}` kept a token"
+            );
+        }
+    }
+
+    #[test]
+    fn changing_any_mems_field_changes_the_token() {
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let token = |b: crate::MemsDeviceBuilder| b.build().expect("valid").dedup_token();
+        let b = MemsDevice::builder;
+        let array = |rows, cols, active, side| ProbeArray::new(rows, cols, active, side).unwrap();
+        let variants = [
+            ("name", token(b().name("other"))),
+            ("rows", token(b().array(array(65, 64, 1024, 100.0)))),
+            ("cols", token(b().array(array(64, 65, 1024, 100.0)))),
+            ("active", token(b().array(array(64, 64, 1023, 100.0)))),
+            ("field side", token(b().array(array(64, 64, 1024, 101.0)))),
+            (
+                "capacity",
+                token(b().capacity(DataSize::from_gigabytes(121.0))),
+            ),
+            (
+                "probe rate",
+                token(b().per_probe_rate(BitRate::from_kbps(101.0))),
+            ),
+            (
+                "seek time",
+                token(b().seek_time(Duration::from_millis(2.5))),
+            ),
+            (
+                "shutdown time",
+                token(b().shutdown_time(Duration::from_millis(1.5))),
+            ),
+            (
+                "io overhead",
+                token(b().io_overhead_time(Duration::from_millis(2.5))),
+            ),
+            (
+                "rw power",
+                token(b().read_write_power(Power::from_milliwatts(317.0))),
+            ),
+            (
+                "seek power",
+                token(b().seek_power(Power::from_milliwatts(673.0))),
+            ),
+            (
+                "standby power",
+                token(b().standby_power(Power::from_milliwatts(4.0))),
+            ),
+            (
+                "idle power",
+                token(b().idle_power(Power::from_milliwatts(121.0))),
+            ),
+            (
+                "shutdown power",
+                token(b().shutdown_power(Power::from_milliwatts(673.0))),
+            ),
+            ("probe cycles", token(b().probe_write_cycles(101.0))),
+            ("spring cycles", token(b().spring_duty_cycles(1.01e8))),
+        ];
+        assert_all_distinct(MEMS_TOKEN, &variants);
+    }
+
+    #[test]
+    fn changing_any_disk_field_changes_the_token() {
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let token = |b: crate::DiskDeviceBuilder| b.build().expect("valid").dedup_token();
+        let b = DiskDevice::builder;
+        let variants = [
+            ("name", token(b().name("other"))),
+            (
+                "capacity",
+                token(b().capacity(DataSize::from_gigabytes(81.0))),
+            ),
+            (
+                "media rate",
+                token(b().media_rate(BitRate::from_mbps(101.0))),
+            ),
+            (
+                "spin-up time",
+                token(b().spin_up_time(Duration::from_seconds(2.6))),
+            ),
+            (
+                "spin-down time",
+                token(b().spin_down_time(Duration::from_seconds(1.1))),
+            ),
+            (
+                "spin-up power",
+                token(b().spin_up_power(Power::from_watts(2.3))),
+            ),
+            (
+                "spin-down power",
+                token(b().spin_down_power(Power::from_watts(0.9))),
+            ),
+            (
+                "rw power",
+                token(b().read_write_power(Power::from_watts(1.5))),
+            ),
+            (
+                "idle power",
+                token(b().idle_power(Power::from_milliwatts(401.0))),
+            ),
+            (
+                "standby power",
+                token(b().standby_power(Power::from_milliwatts(99.0))),
+            ),
+            ("start-stop cycles", token(b().start_stop_cycles(1.01e5))),
+            ("format utilisation", token(b().format_utilization(0.94))),
+        ];
+        assert_all_distinct(DISK_TOKEN, &variants);
+    }
+
+    #[test]
+    fn changing_any_flash_field_changes_the_token() {
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let token = |b: crate::FlashDeviceBuilder| b.build().expect("valid").dedup_token();
+        let b = FlashDevice::builder;
+        let variants = [
+            ("name", token(b().name("other"))),
+            (
+                "capacity",
+                token(b().capacity(DataSize::from_gigabytes(65.0))),
+            ),
+            (
+                "media rate",
+                token(b().media_rate(BitRate::from_mbps(161.0))),
+            ),
+            (
+                "resume time",
+                token(b().resume_time(Duration::from_millis(0.6))),
+            ),
+            (
+                "power-down time",
+                token(b().power_down_time(Duration::from_millis(0.4))),
+            ),
+            (
+                "io overhead",
+                token(b().io_overhead_time(Duration::from_millis(0.6))),
+            ),
+            (
+                "transition power",
+                token(b().transition_power(Power::from_milliwatts(61.0))),
+            ),
+            (
+                "rw power",
+                token(b().read_write_power(Power::from_milliwatts(241.0))),
+            ),
+            (
+                "idle power",
+                token(b().idle_power(Power::from_milliwatts(81.0))),
+            ),
+            (
+                "deep power-down",
+                token(b().deep_power_down(Power::from_milliwatts(0.2))),
+            ),
+            (
+                "erase block",
+                token(b().erase_block(DataSize::from_kibibytes(256.0))),
+            ),
+            ("P/E cycles", token(b().pe_cycles(3001.0))),
+            ("WAF floor", token(b().waf_floor(1.2))),
+            ("utilisation", token(b().fixed_utilization(0.92))),
+        ];
+        assert_all_distinct(FLASH_TOKEN, &variants);
+    }
+
+    #[test]
+    fn the_name_length_prefix_keeps_names_unambiguous() {
+        // Without the prefix, a name ending in `,64` would read as one
+        // more field.
+        let a = MemsDevice::builder().name("a,64").build().unwrap();
+        let b = MemsDevice::builder().name("a").build().unwrap();
+        assert!(a.dedup_token().starts_with("mems:4:a,64,"));
+        assert!(b.dedup_token().starts_with("mems:1:a,"));
+        assert_ne!(a.dedup_token(), b.dedup_token());
     }
 
     #[test]

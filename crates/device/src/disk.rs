@@ -11,7 +11,7 @@ use std::fmt;
 
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
-use crate::capability::{StorageDevice, UtilizationSpec, WearChannel, WearModelled};
+use crate::capability::{DedupToken, StorageDevice, UtilizationSpec, WearChannel, WearModelled};
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, MechanicalDevice, PowerState};
 
@@ -138,7 +138,19 @@ impl StorageDevice for DiskDevice {
     }
 
     fn dedup_token(&self) -> String {
-        format!("disk:{self:?}")
+        DedupToken::new("disk", &self.name)
+            .float(self.capacity.bits())
+            .float(self.media_rate.bits_per_second())
+            .float(self.spin_up_time.seconds())
+            .float(self.spin_down_time.seconds())
+            .float(self.spin_up_power.watts())
+            .float(self.spin_down_power.watts())
+            .float(self.read_write_power.watts())
+            .float(self.idle_power.watts())
+            .float(self.standby_power.watts())
+            .float(self.start_stop_cycles)
+            .float(self.format_utilization)
+            .finish()
     }
 
     fn capacity(&self) -> DataSize {

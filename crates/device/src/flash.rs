@@ -20,7 +20,7 @@ use std::fmt;
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
 use crate::capability::{
-    SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
+    DedupToken, SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
 };
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, PowerState};
@@ -215,7 +215,21 @@ impl StorageDevice for FlashDevice {
     }
 
     fn dedup_token(&self) -> String {
-        format!("flash:{self:?}")
+        DedupToken::new("flash", &self.name)
+            .float(self.capacity.bits())
+            .float(self.media_rate.bits_per_second())
+            .float(self.resume_time.seconds())
+            .float(self.power_down_time.seconds())
+            .float(self.io_overhead_time.seconds())
+            .float(self.transition_power.watts())
+            .float(self.read_write_power.watts())
+            .float(self.idle_power.watts())
+            .float(self.deep_power_down.watts())
+            .float(self.erase_block.bits())
+            .float(self.pe_cycles)
+            .float(self.waf_floor)
+            .float(self.fixed_utilization)
+            .finish()
     }
 
     fn capacity(&self) -> DataSize {

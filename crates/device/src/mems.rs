@@ -5,7 +5,7 @@ use std::fmt;
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
 use crate::capability::{
-    SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
+    DedupToken, SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
 };
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, MechanicalDevice, PowerState};
@@ -324,7 +324,24 @@ impl StorageDevice for MemsDevice {
     }
 
     fn dedup_token(&self) -> String {
-        format!("mems:{self:?}")
+        DedupToken::new("mems", &self.name)
+            .int(self.array.rows)
+            .int(self.array.cols)
+            .int(self.array.active)
+            .float(self.array.field_side_um)
+            .float(self.capacity.bits())
+            .float(self.per_probe_rate.bits_per_second())
+            .float(self.seek_time.seconds())
+            .float(self.shutdown_time.seconds())
+            .float(self.io_overhead_time.seconds())
+            .float(self.read_write_power.watts())
+            .float(self.seek_power.watts())
+            .float(self.standby_power.watts())
+            .float(self.idle_power.watts())
+            .float(self.shutdown_power.watts())
+            .float(self.probe_write_cycles)
+            .float(self.spring_duty_cycles)
+            .finish()
     }
 
     fn capacity(&self) -> DataSize {

@@ -7,22 +7,35 @@
 //! `docs/CACHE_FORMAT.md` at the repository root and both fully
 //! interchangeable ([`ResultCache::load`] sniffs the header):
 //!
-//! * **v1** (`memstream-grid-cache v1`) — a tab-separated text line
+//! * **v1** (`memstream-grid-cache v1 k2`) — a tab-separated text line
 //!   store, the *interchange* default. Floats are written with Rust's
 //!   shortest-roundtrip formatting, so a warm-cache exploration
 //!   reproduces the cold run's reports **byte-identically** — the
 //!   property the CI determinism smoke asserts.
-//! * **v2** (`memstream-grid-cache v2`) — a length-prefixed binary
+//! * **v2** (`memstream-grid-cache v2 k2`) — a length-prefixed binary
 //!   record store with a sorted key index, written by
 //!   [`ResultCache::save_as`] with [`CacheFormat::V2`]. Floats are raw
 //!   IEEE-754 bits, keys raw UTF-8; loading needs no float parsing or
-//!   unescaping, which is what makes warm loads fast. Conversion
-//!   between the formats is lossless: `v1 → v2 → v1` reproduces the
-//!   original file bytes exactly.
+//!   unescaping. Conversion between the formats is lossless:
+//!   `v1 → v2 → v1` reproduces the original file bytes exactly.
 //!
-//! Under [`ResultCache::load`], unknown or corrupt lines (v1) and
-//! trailing malformed records (v2) are ignored — they simply become
-//! cache misses — so format evolution never poisons a run.
+//! The `k2` in both headers is the key generation: keys are the
+//! canonical field encodings of [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key)
+//! (about 220 bytes; no Rust field or type names). A file of the first
+//! generation (bare `v1`/`v2` header, Debug-rendered keys) is refused
+//! whole: [`ResultCache::load_strict`] returns
+//! [`CacheFileError::VersionMismatch`], and the lenient loaders start
+//! empty and report the header they found through
+//! [`ResultCache::stale_header`].
+//!
+//! Under [`ResultCache::load`], corrupt lines (v1) and trailing
+//! malformed records (v2) are ignored — they simply become cache misses
+//! — so damage never poisons a run.
+//!
+//! A warm run that changed nothing need not rewrite its file:
+//! [`ResultCache::needs_save`] is false when nothing was inserted or
+//! merged in, the loader dropped no damaged entry, and the file is
+//! already in the requested encoding.
 //!
 //! The cache file is also the workspace's **shard interchange format**:
 //! `memstream_shard` workers each emit their slice of a grid as a cache
@@ -48,20 +61,24 @@ use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::view::{record_body, validate_v2, CacheView};
 
-const HEADER: &str = "memstream-grid-cache v1";
-const HEADER_V2: &str = "memstream-grid-cache v2";
+/// The v1 header. The `k2` suffix names the key generation: the
+/// canonical field encoding of `docs/CACHE_FORMAT.md` § "Keys". Files of
+/// the first generation (Debug-rendered keys) carry the bare
+/// `memstream-grid-cache v1` / `v2` headers and are refused.
+const HEADER: &str = "memstream-grid-cache v1 k2";
+const HEADER_V2: &str = "memstream-grid-cache v2 k2";
 /// The sniffable v2 magic: the header line including its terminator.
-pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2\n";
+pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2 k2\n";
 
 /// Which on-disk encoding a [`ResultCache::save_as`] writes. Loading
 /// auto-detects, so the format is a producer-side choice only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
-    /// The tab-separated text format (`memstream-grid-cache v1`): the
+    /// The tab-separated text format (`memstream-grid-cache v1 k2`): the
     /// interchange default, diff-able and greppable.
     #[default]
     V1,
-    /// The length-prefixed binary format (`memstream-grid-cache v2`):
+    /// The length-prefixed binary format (`memstream-grid-cache v2 k2`):
     /// raw IEEE-754 floats and unescaped keys behind a sorted record
     /// index — the fast warm-start encoding.
     V2,
@@ -84,6 +101,15 @@ impl CacheFormat {
         match self {
             CacheFormat::V1 => "v1",
             CacheFormat::V2 => "v2",
+        }
+    }
+
+    /// The header line a file in this format starts with.
+    #[must_use]
+    pub fn header(self) -> &'static str {
+        match self {
+            CacheFormat::V1 => HEADER,
+            CacheFormat::V2 => HEADER_V2,
         }
     }
 }
@@ -239,6 +265,15 @@ pub struct ResultCache {
     /// verbatim re-save fast path (the file bytes are no longer the
     /// truth).
     shadowed: bool,
+    /// The encoding of the file this cache was loaded from, when every
+    /// entry in it was read back intact; `None` for a new cache, a
+    /// missing file, an unknown header or a load that dropped damage.
+    loaded: Option<CacheFormat>,
+    /// Whether an insert or a merge added to the loaded entries.
+    dirty: bool,
+    /// The first line of a file the lenient loaders refused for its
+    /// header (another key generation, another program's file).
+    stale_header: Option<String>,
     hits: usize,
     misses: usize,
     telemetry: CacheTelemetry,
@@ -359,6 +394,7 @@ impl ResultCache {
                     if let Some(entries) = decode_index_parallel(&bytes, &offsets, workers) {
                         let mut cache = ResultCache::new();
                         cache.entries = entries;
+                        cache.loaded = Some(CacheFormat::V2);
                         return Ok(cache);
                     }
                     // A malformed payload despite a valid index: fall
@@ -404,6 +440,7 @@ impl ResultCache {
             if let Ok(offsets) = validate_v2(&bytes) {
                 let mut cache = ResultCache::new();
                 cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
+                cache.loaded = Some(CacheFormat::V2);
                 return Ok(cache);
             }
         }
@@ -411,25 +448,52 @@ impl ResultCache {
     }
 
     /// The eager lenient decode shared by the `load` family: v2 prefix
-    /// scan, v1 line-at-a-time, or empty for unknown headers.
+    /// scan, v1 line-at-a-time, or empty for unknown headers (noted in
+    /// [`ResultCache::stale_header`]).
     fn from_bytes_eager(bytes: &[u8]) -> Self {
         let mut cache = ResultCache::new();
         if bytes.starts_with(V2_MAGIC) {
-            cache.entries = parse_v2_lenient(bytes);
+            let (entries, complete) = parse_v2_lenient(bytes);
+            cache.entries = entries;
+            if complete && validate_v2(bytes).is_ok() {
+                cache.loaded = Some(CacheFormat::V2);
+            }
             return cache;
         }
-        // Unknown version or non-UTF-8 garbage: empty rather than failing.
         let Ok(text) = std::str::from_utf8(bytes) else {
+            // Binary without our magic: empty rather than failing, but
+            // attributed by its first line.
+            let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+            if first != HEADER.as_bytes() {
+                cache.stale_header = Some(String::from_utf8_lossy(first).into_owned());
+            }
             return cache;
         };
         let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
-            return cache;
-        }
-        for line in lines {
-            if let Some((key, outcome)) = parse_line(line) {
-                cache.entries.insert(key, outcome);
+        match lines.next() {
+            Some(HEADER) => {}
+            Some(found) => {
+                cache.stale_header = Some(found.to_owned());
+                return cache;
             }
+            None => return cache,
+        }
+        // One entry per line: size the map once instead of rehashing.
+        let lines_hint = bytes.iter().filter(|&&b| b == b'\n').count();
+        cache.entries.reserve(lines_hint);
+        // A damaged line is skipped and becomes a miss; the file then no
+        // longer counts as read back intact.
+        let mut intact = true;
+        for line in lines {
+            match parse_line(line) {
+                Some((key, outcome)) => {
+                    cache.entries.insert(key, outcome);
+                }
+                None => intact = false,
+            }
+        }
+        if intact {
+            cache.loaded = Some(CacheFormat::V1);
         }
         cache
     }
@@ -444,7 +508,7 @@ impl ResultCache {
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not found"),
     /// [`CacheFileError::VersionMismatch`] if the header line is neither
-    /// `memstream-grid-cache v1` nor `memstream-grid-cache v2`,
+    /// `memstream-grid-cache v1 k2` nor `memstream-grid-cache v2 k2`,
     /// [`CacheFileError::MalformedIndex`] (attributed by byte offset) if
     /// the v2 count, record index or trailer disagrees with the records
     /// actually present, and [`CacheFileError::Malformed`] on the first
@@ -462,6 +526,7 @@ impl ResultCache {
                     .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
                 cache.entries.insert(key, outcome);
             }
+            cache.loaded = Some(CacheFormat::V2);
             return Ok(cache);
         }
         let text = match String::from_utf8(bytes) {
@@ -488,6 +553,7 @@ impl ResultCache {
                 parse_line(line).ok_or(CacheFileError::Malformed { line: i + 2 })?;
             cache.entries.insert(key, outcome);
         }
+        cache.loaded = Some(CacheFormat::V1);
         Ok(cache)
     }
 
@@ -579,6 +645,7 @@ impl ResultCache {
         // Every addition was absent from view *and* overlay (the scan
         // checked), so the length bookkeeping is a plain bump.
         self.overlay_new += stats.added;
+        self.dirty |= stats.added > 0;
         self.telemetry.merge_bytes.add(bytes);
         self.telemetry.merges.incr();
         self.telemetry.merge_added.add(stats.added as u64);
@@ -675,6 +742,26 @@ impl ResultCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether [`ResultCache::save_as`] in `format` would change the
+    /// file this cache was loaded from. It would not when all three
+    /// hold: nothing was inserted or merged in, the loader read every
+    /// entry back intact (no damaged line or record dropped), and the
+    /// file is already in `format`. A new cache, or one over a missing
+    /// or refused file, always needs its save.
+    #[must_use]
+    pub fn needs_save(&self, format: CacheFormat) -> bool {
+        self.dirty || self.loaded != Some(format)
+    }
+
+    /// The header line of a file the lenient loaders refused (another
+    /// key generation, another encoding version, or not a cache file):
+    /// the cache started empty instead. `None` when the file was read,
+    /// missing or empty.
+    #[must_use]
+    pub fn stale_header(&self) -> Option<&str> {
+        self.stale_header.as_deref()
     }
 
     /// Cache hits since construction/load.
@@ -795,6 +882,7 @@ impl ResultCache {
     /// of overwriting.
     pub fn insert(&mut self, key: String, outcome: CellOutcome) {
         self.telemetry.inserts.incr();
+        self.dirty = true;
         let in_view = match self.view.as_deref() {
             Some(view) => {
                 self.telemetry.index_lookups.incr();
@@ -820,6 +908,9 @@ fn escape(s: &str) -> String {
 }
 
 fn unescape(s: &str) -> String {
+    if !s.contains('\\') {
+        return s.to_owned();
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -903,9 +994,19 @@ fn encode_line(key: &str, outcome: &CellOutcome) -> String {
     format!("{}\t{}", escape(key), payload)
 }
 
+/// The most tab-separated fields a v1 line has: key, tag and the six
+/// fields of a feasible plan.
+const MAX_LINE_FIELDS: usize = 8;
+
 fn parse_line(line: &str) -> Option<(String, CellOutcome)> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    let (&key, rest) = fields.split_first()?;
+    // Split into a fixed array instead of a `Vec`: no allocation per line.
+    let mut slots = [""; MAX_LINE_FIELDS];
+    let mut count = 0;
+    for field in line.split('\t') {
+        *slots.get_mut(count)? = field;
+        count += 1;
+    }
+    let (&key, rest) = slots[..count].split_first()?;
     let (&tag, payload) = rest.split_first()?;
     let outcome = match (tag, payload) {
         ("F", [buffer, dominant, saving, utilization, lifetime, energy]) => {
@@ -1110,13 +1211,15 @@ pub(crate) fn decode_record(body: &[u8]) -> Option<(String, CellOutcome)> {
 /// have). Pre-sizing is capped against the honest minimum record
 /// footprint, so a hostile count cannot balloon the allocation past the
 /// actual file size.
-fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
+///
+/// Also returns whether all `count` records decoded.
+fn parse_v2_lenient(bytes: &[u8]) -> (HashMap<String, CellOutcome>, bool) {
     let mut r = ByteReader {
         bytes,
         pos: V2_MAGIC.len(),
     };
     let Some(count) = r.u64().and_then(|c| usize::try_from(c).ok()) else {
-        return HashMap::new();
+        return (HashMap::new(), false);
     };
     let mut entries = HashMap::with_capacity(count.min(bytes.len() / 10));
     for _ in 0..count {
@@ -1128,10 +1231,10 @@ fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
             Some((key, outcome)) => {
                 entries.insert(key, outcome);
             }
-            None => break,
+            None => return (entries, false),
         }
     }
-    entries
+    (entries, true)
 }
 
 /// Serial-below-this record count, the parallel load's thread startup
@@ -1767,6 +1870,117 @@ mod tests {
             ResultCache::load_strict(temp_path("strict-missing.cache")).unwrap_err(),
             CacheFileError::Io(_)
         ));
+    }
+
+    /// First-generation files (Debug-rendered keys, bare `v1`/`v2`
+    /// headers) must never load as a silent total miss.
+    #[test]
+    fn old_generation_headers_are_refused_and_attributed() {
+        let v1 = temp_path("gen1-v1.cache");
+        fs::write(
+            &v1,
+            "memstream-grid-cache v1\nmems:MemsDevice { name: \"x\" }\tU\td\n",
+        )
+        .unwrap();
+        let v2 = temp_path("gen1-v2.cache");
+        let mut bytes = b"memstream-grid-cache v2\n".to_vec();
+        bytes.extend_from_slice(&[0xff, 0xfe, 0, 0, 0, 0, 0, 0]);
+        fs::write(&v2, bytes).unwrap();
+        for (path, header) in [
+            (&v1, "memstream-grid-cache v1"),
+            (&v2, "memstream-grid-cache v2"),
+        ] {
+            match ResultCache::load_strict(path).unwrap_err() {
+                CacheFileError::VersionMismatch { found } => assert_eq!(found, header),
+                other => panic!("expected version mismatch, got {other}"),
+            }
+            for cache in [
+                ResultCache::load(path).unwrap(),
+                ResultCache::load_lazy(path).unwrap(),
+            ] {
+                assert!(cache.is_empty());
+                assert_eq!(cache.stale_header(), Some(header));
+                assert!(cache.needs_save(CacheFormat::V1) && cache.needs_save(CacheFormat::V2));
+            }
+            fs::remove_file(path).unwrap();
+        }
+        assert_eq!(CacheFormat::V1.header(), "memstream-grid-cache v1 k2");
+        assert_eq!(CacheFormat::V2.header(), "memstream-grid-cache v2 k2");
+    }
+
+    #[test]
+    fn an_unchanged_warm_cache_needs_no_save_in_its_own_format() {
+        let grid = ScenarioGrid::paper_baseline(3);
+        let mut cold = ResultCache::new();
+        assert!(
+            cold.needs_save(CacheFormat::V1),
+            "a new cache writes its file"
+        );
+        GridExecutor::serial()
+            .explore_cached(&grid, &mut cold)
+            .unwrap();
+        for format in [CacheFormat::V1, CacheFormat::V2] {
+            let other = match format {
+                CacheFormat::V1 => CacheFormat::V2,
+                CacheFormat::V2 => CacheFormat::V1,
+            };
+            let path = temp_path(&format!("unchanged-{}.cache", format.flag()));
+            cold.save_as(&path, format).unwrap();
+            for load in [ResultCache::load, ResultCache::load_lazy, |p| {
+                ResultCache::load_strict(p).map_err(|e| io::Error::other(e.to_string()))
+            }] {
+                let mut warm = load(&path).unwrap();
+                assert_eq!(warm.stale_header(), None);
+                GridExecutor::serial()
+                    .explore_cached(&grid, &mut warm)
+                    .unwrap();
+                assert_eq!(warm.misses(), 0);
+                assert!(!warm.needs_save(format), "all-hit run over {format:?}");
+                assert!(warm.needs_save(other), "a format conversion still saves");
+                warm.insert(
+                    "new-key".into(),
+                    CellOutcome::Unmodelled { detail: "d".into() },
+                );
+                assert!(warm.needs_save(format), "an insert dirties the cache");
+            }
+
+            // A merge that only meets duplicates changes nothing; one
+            // that adds an entry does.
+            let mut warm = ResultCache::load_lazy(&path).unwrap();
+            warm.merge(&cold).unwrap();
+            assert!(!warm.needs_save(format));
+            let mut extra = ResultCache::new();
+            extra.insert(
+                "zz-extra".into(),
+                CellOutcome::Unmodelled { detail: "d".into() },
+            );
+            warm.merge(&extra).unwrap();
+            assert!(warm.needs_save(format));
+            fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_load_that_dropped_damage_needs_its_save() {
+        let v1 = temp_path("damaged-v1.cache");
+        fs::write(&v1, format!("{HEADER}\nk\tU\tok\nbroken line\n")).unwrap();
+        let cache = ResultCache::load_lazy(&v1).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.needs_save(CacheFormat::V1));
+        fs::remove_file(v1).unwrap();
+
+        // A v2 file with its index torn off loads its records leniently,
+        // but the file is not intact.
+        let v2 = temp_path("damaged-v2.cache");
+        let mut cache = ResultCache::new();
+        cache.insert("k".into(), CellOutcome::Unmodelled { detail: "d".into() });
+        cache.save_as(&v2, CacheFormat::V2).unwrap();
+        let bytes = fs::read(&v2).unwrap();
+        fs::write(&v2, &bytes[..bytes.len() - 16]).unwrap();
+        let cache = ResultCache::load_lazy(&v2).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.needs_save(CacheFormat::V2));
+        fs::remove_file(v2).unwrap();
     }
 
     /// A cache holding every outcome kind plus hostile keys/details —

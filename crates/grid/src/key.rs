@@ -1,7 +1,7 @@
 //! Interned dedup keys: axis-class identifiers for the cell hot path.
 //!
 //! [`ScenarioGrid::dedup_key`] formats a `String` per cell — five
-//! `format!` fragments, two of them `f64` shortest-roundtrip renderings.
+//! fragments holding two dozen `f64` shortest-roundtrip renderings.
 //! On every `resolve_cells`/`explore` that cost multiplies by the full
 //! cell count. The [`KeyInterner`] computes each fragment **once per axis
 //! value**, collapses content-identical axis entries into *classes* (two
@@ -11,13 +11,13 @@
 //!
 //! Canonical strings are materialised only at cache-file and report
 //! boundaries via [`KeyInterner::resolve`], which concatenates the
-//! pre-formatted fragments and is **byte-identical** to the legacy
+//! pre-formatted fragments and is **byte-identical** to
 //! [`ScenarioGrid::dedup_key`] for every cell (the equivalence suite in
 //! `crates/grid/tests/key_equivalence.rs` pins this).
 
 use std::collections::HashMap;
 
-use crate::spec::{GridCell, ScenarioGrid};
+use crate::spec::{goal_key, grid_key_suffix, rate_key, GridCell, ScenarioGrid};
 
 /// A cell's dedup identity as four axis-**class** indices
 /// (device, workload, rate, goal).
@@ -78,10 +78,8 @@ impl KeyInterner {
                 .iter()
                 .map(crate::spec::WorkloadProfile::dedup_key),
         );
-        let (rate_class, rate_fragments) =
-            classify(grid.rates().iter().map(|r| format!("r={r:?}")));
-        let (goal_class, goal_fragments) =
-            classify(grid.goals().iter().map(|g| format!("g={g:?}")));
+        let (rate_class, rate_fragments) = classify(grid.rates().iter().copied().map(rate_key));
+        let (goal_class, goal_fragments) = classify(grid.goals().iter().map(goal_key));
         KeyInterner {
             device_class,
             workload_class,
@@ -91,11 +89,7 @@ impl KeyInterner {
             workload_fragments,
             rate_fragments,
             goal_fragments,
-            suffix: format!(
-                "dram={}|pol={:?}",
-                grid.dram_enabled(),
-                grid.best_effort_policy()
-            ),
+            suffix: grid_key_suffix(grid.dram_enabled(), grid.best_effort_policy()),
         }
     }
 
@@ -208,6 +202,9 @@ mod tests {
             ScenarioGrid::paper_baseline(7),
             ScenarioGrid::paper_classic(5),
             ScenarioGrid::paper_baseline(4).without_dram(),
+            ScenarioGrid::paper_baseline(3)
+                .policy(memstream_core::BestEffortPolicy::Excluded)
+                .goal(DesignGoal::new()),
         ] {
             let interner = KeyInterner::new(&grid);
             for cell in grid.cells() {

@@ -75,9 +75,8 @@ impl DeviceEntry {
     }
 
     /// A canonical content key for deduplication: two entries with equal
-    /// keys model the same physics regardless of their display names.
-    /// Byte-stable across the registry refactor for the paper's devices
-    /// (`mems:…` / `disk:…` tokens).
+    /// keys model the same physics regardless of their display names
+    /// (the device's [`StorageDevice::dedup_token`]).
     pub(crate) fn dedup_key(&self) -> String {
         self.device.dedup_token()
     }
@@ -153,15 +152,46 @@ impl WorkloadProfile {
         &self.workload
     }
 
+    /// The workload fragment of a cell key:
+    /// `w=<write>,<hours>,<days>,<best_effort>`. Rate is excluded: the
+    /// rate axis overrides it.
     pub(crate) fn dedup_key(&self) -> String {
-        // Rate is excluded: it is overridden by the rate axis.
+        let calendar = self.workload.calendar();
         format!(
-            "w={:?},cal={:?},be={:?}",
-            self.workload.write_fraction(),
-            self.workload.calendar(),
-            self.workload.best_effort_fraction()
+            "w={:?},{:?},{:?},{:?}",
+            self.workload.write_fraction().fraction(),
+            calendar.hours_per_day(),
+            calendar.days_per_year(),
+            self.workload.best_effort_fraction().fraction()
         )
     }
+}
+
+/// The rate fragment of a cell key: `r=<bits_per_second>`.
+pub(crate) fn rate_key(rate: BitRate) -> String {
+    format!("r={:?}", rate.bits_per_second())
+}
+
+/// The goal fragment of a cell key: `g=<saving>,<utilisation>,<years>`,
+/// `-` for an unset target.
+pub(crate) fn goal_key(goal: &DesignGoal) -> String {
+    let target = |t: Option<f64>| t.map_or_else(|| "-".to_owned(), |v| format!("{v:?}"));
+    format!(
+        "g={},{},{}",
+        target(goal.energy_saving_target().map(Ratio::fraction)),
+        target(goal.capacity_target().map(Ratio::fraction)),
+        target(goal.lifetime_target().map(memstream_units::Years::get)),
+    )
+}
+
+/// The grid-wide tail every cell key ends with: `dram=<bool>|pol=<tag>`.
+pub(crate) fn grid_key_suffix(with_dram: bool, policy: BestEffortPolicy) -> String {
+    let policy = match policy {
+        BestEffortPolicy::AtReadWrite => "rw",
+        BestEffortPolicy::AtIdle => "idle",
+        BestEffortPolicy::Excluded => "excluded",
+    };
+    format!("dram={with_dram}|pol={policy}")
 }
 
 /// One coordinate of the grid: indices into the four axes plus the
@@ -485,13 +515,12 @@ impl ScenarioGrid {
     #[must_use]
     pub fn dedup_key(&self, cell: &GridCell) -> String {
         format!(
-            "{}|{}|r={:?}|g={:?}|dram={}|pol={:?}",
+            "{}|{}|{}|{}|{}",
             self.devices[cell.device].dedup_key(),
             self.workloads[cell.workload].dedup_key(),
-            self.rates[cell.rate],
-            self.goals[cell.goal],
-            self.with_dram,
-            self.policy,
+            rate_key(self.rates[cell.rate]),
+            goal_key(&self.goals[cell.goal]),
+            grid_key_suffix(self.with_dram, self.policy),
         )
     }
 }
@@ -581,6 +610,60 @@ mod tests {
         assert!(a.dedup_key().starts_with("mems:"));
         let d = DeviceEntry::new("disk", DiskDevice::calibrated_1p8_inch());
         assert!(d.dedup_key().starts_with("disk:"));
+    }
+
+    #[test]
+    fn key_fragments_have_golden_canonical_forms() {
+        assert_eq!(WorkloadProfile::paper().dedup_key(), "w=0.4,8.0,365.0,0.05");
+        assert_eq!(rate_key(BitRate::from_kbps(1024.0)), "r=1024000.0");
+        assert_eq!(goal_key(&DesignGoal::fig3a()), "g=0.8,0.88,7.0");
+        assert_eq!(goal_key(&DesignGoal::new()), "g=-,-,-");
+        assert_eq!(
+            goal_key(&DesignGoal::new().lifetime(memstream_units::Years::new(7.0))),
+            "g=-,-,7.0"
+        );
+        assert_eq!(
+            grid_key_suffix(true, BestEffortPolicy::AtReadWrite),
+            "dram=true|pol=rw"
+        );
+        assert_eq!(
+            grid_key_suffix(false, BestEffortPolicy::AtIdle),
+            "dram=false|pol=idle"
+        );
+        assert_eq!(
+            grid_key_suffix(true, BestEffortPolicy::Excluded),
+            "dram=true|pol=excluded"
+        );
+    }
+
+    #[test]
+    fn cell_keys_are_canonical_fragments_without_rust_names() {
+        let grid = ScenarioGrid::new()
+            .device(DeviceEntry::new("m", MemsDevice::table1()))
+            .workload(WorkloadProfile::paper())
+            .with_rates([BitRate::from_kbps(1024.0)])
+            .goal(DesignGoal::fig3a());
+        let key = grid.dedup_key(&grid.cell(0));
+        assert_eq!(
+            key,
+            format!(
+                "{}|w=0.4,8.0,365.0,0.05|r=1024000.0|g=0.8,0.88,7.0|dram=true|pol=rw",
+                MemsDevice::table1().dedup_token()
+            )
+        );
+        assert!(!key.contains('{') && !key.contains(": "), "{key}");
+        for name in [
+            "Ratio",
+            "Years",
+            "BitRate",
+            "DesignGoal",
+            "AtReadWrite",
+            "Some",
+        ] {
+            assert!(!key.contains(name), "`{name}` in {key}");
+        }
+        // About a quarter of the first generation's Debug-rendered keys.
+        assert!(key.len() < 250, "{} bytes: {key}", key.len());
     }
 
     #[test]
