@@ -51,9 +51,10 @@
 //! together with `bench` — `--trace PATH` (the run's timeline as a
 //! Chrome/Perfetto-loadable trace, shard worker events merged in); none
 //! of them ever changes stdout. `--cache-format v1|v2` (with `--cache` or
-//! `--shards`) selects the cache file encoding — `v1` is the TSV
-//! interchange format, `v2` the binary fast-load format; readers
-//! auto-detect, and the choice never changes a stdout byte
+//! `--shards`) selects the cache file encoding — `v2`, the default, is
+//! the binary format a warm run reads lazily, `v1` the diff-able TSV
+//! interchange text; readers auto-detect, a file in the other encoding
+//! is rewritten once, and the choice never changes a stdout byte
 //! (`docs/CACHE_FORMAT.md`).
 
 use memstream_bench::{
@@ -532,10 +533,11 @@ fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
 /// Loads the result cache at `path` under the `cache.load` span, exiting
 /// 2 on I/O errors (shared by the `grid` and `refine` subcommands). Lazy:
 /// a valid v2 file is indexed, not decoded — warm planning probes the
-/// index and only looked-up records are ever decoded
-/// (`cache.records_decoded`). A file with another header (an older key
-/// generation) is named on stderr; the run starts cold and its save
-/// rewrites the file in `format`.
+/// index and each lookup hit decodes only its record's outcome
+/// (`cache.records_decoded`). A v1 file loads eagerly and, when `format`
+/// is v2 (the default), is rewritten as v2 by the run's save. A file
+/// with another header (an older key generation) is named on stderr;
+/// the run starts cold and its save rewrites the file in `format`.
 fn load_cache(
     path: &str,
     format: memstream_grid::CacheFormat,
@@ -596,7 +598,8 @@ fn explore_cached_or_exit(
 /// — the parallel scenario-grid
 /// exploration (see module docs). `--cache` loads/saves evaluated cells
 /// keyed by scenario content, so re-runs skip already-explored cells
-/// without changing a single output byte; `--classic` restricts the
+/// without changing a single output byte (`--cache-format` picks the
+/// file encoding, default v2); `--classic` restricts the
 /// registry to the paper's four devices (no flash); `--shards` fans
 /// evaluation out across worker processes under the lease scheduler and
 /// merges by cache union (`--lease-cells`/`--lease-deadline` tune the
@@ -753,7 +756,8 @@ fn grid(args: &[String]) {
 /// adaptive refinement loop (see module docs). `--width-bound` is the
 /// relative interval width a knee must be localised to (default 0.01 =
 /// 1 %); `--cache` makes re-runs evaluate nothing while reproducing
-/// stdout byte-for-byte; `--shards` fans each round's new rates out
+/// stdout byte-for-byte (`--cache-format`, default v2, picks the file
+/// encoding); `--shards` fans each round's new rates out
 /// across worker processes.
 fn refine(args: &[String]) {
     use memstream_grid::GridExecutor;

@@ -1,6 +1,7 @@
-//! End-to-end tests of `--cache` files across key generations: a file
-//! written under another header is attributed on stderr and replaced,
-//! never loaded as a silent total miss.
+//! End-to-end tests of `--cache` files across key generations and
+//! encodings: a file written under another header is attributed on
+//! stderr and replaced, never loaded as a silent total miss; the default
+//! encoding is v2, and a v1 file is converted to it once.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -90,4 +91,68 @@ fn an_old_generation_cache_is_attributed_and_replaced() {
         std::fs::remove_file(fresh).unwrap();
     }
     std::fs::remove_file(stale).unwrap();
+}
+
+/// The `count` column of the `--stats` row for span `name`.
+fn span_count(stderr: &str, name: &str) -> u64 {
+    stderr
+        .lines()
+        .find_map(|line| {
+            let mut fields = line.split_whitespace();
+            (fields.next() == Some(name)).then(|| fields.next())?
+        })
+        .and_then(|count| count.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` row in:\n{stderr}"))
+}
+
+/// A default `--cache` run writes the binary v2 encoding; a v1 file run
+/// under the default is rewritten as v2 once, and from then on warm runs
+/// leave the file alone.
+#[test]
+fn the_default_encoding_is_v2_and_a_v1_file_converts_once() {
+    let fresh = temp_path("default-fresh.cache");
+    let v1 = temp_path("default-from-v1.cache");
+    for path in [&fresh, &v1] {
+        let _ = std::fs::remove_file(path);
+    }
+    let (fresh_str, v1_str) = (
+        fresh.to_str().expect("utf-8 temp path"),
+        v1.to_str().expect("utf-8 temp path"),
+    );
+    let reference = run(&["grid", "--rates", "5", "--cache", fresh_str]).stdout;
+    let v2_bytes = std::fs::read(&fresh).expect("cold run writes the cache");
+    assert!(v2_bytes.starts_with(b"memstream-grid-cache v2 k2\n"));
+
+    run(&[
+        "grid",
+        "--rates",
+        "5",
+        "--cache",
+        v1_str,
+        "--cache-format",
+        "v1",
+    ]);
+    assert!(std::fs::read(&v1)
+        .unwrap()
+        .starts_with(b"memstream-grid-cache v1 k2\n"));
+
+    // Warm over the v1 file under the default: all hits, one save, and
+    // exactly the bytes a cold default run writes.
+    let converted = run(&["grid", "--rates", "5", "--cache", v1_str, "--stats"]);
+    assert_eq!(converted.stdout, reference);
+    let stderr = String::from_utf8_lossy(&converted.stderr);
+    assert!(stderr.contains(" 0 misses"), "{stderr}");
+    assert_eq!(span_count(&stderr, "cache.save"), 1, "{stderr}");
+    assert_eq!(std::fs::read(&v1).unwrap(), v2_bytes);
+
+    // Converted once: the next warm run saves nothing.
+    let warm = run(&["grid", "--rates", "5", "--cache", v1_str, "--stats"]);
+    assert_eq!(warm.stdout, reference);
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(stderr.contains("not rewritten"), "{stderr}");
+    assert_eq!(span_count(&stderr, "cache.save"), 0, "{stderr}");
+    assert_eq!(std::fs::read(&v1).unwrap(), v2_bytes, "file untouched");
+    for path in [fresh, v1] {
+        std::fs::remove_file(path).unwrap();
+    }
 }

@@ -7,17 +7,21 @@
 //! `docs/CACHE_FORMAT.md` at the repository root and both fully
 //! interchangeable ([`ResultCache::load`] sniffs the header):
 //!
+//! * **v2** (`memstream-grid-cache v2 k2`) — the default
+//!   ([`CacheFormat::default`]): a length-prefixed binary record store
+//!   with a sorted key index. Floats are raw IEEE-754 bits, keys raw
+//!   UTF-8; reading needs no float parsing or unescaping.
+//!   [`ResultCache::load_lazy`] holds the file as a [`CacheView`] and a
+//!   hit decodes only that record's outcome, in place.
 //! * **v1** (`memstream-grid-cache v1 k2`) — a tab-separated text line
-//!   store, the *interchange* default. Floats are written with Rust's
-//!   shortest-roundtrip formatting, so a warm-cache exploration
-//!   reproduces the cold run's reports **byte-identically** — the
-//!   property the CI determinism smoke asserts.
-//! * **v2** (`memstream-grid-cache v2 k2`) — a length-prefixed binary
-//!   record store with a sorted key index, written by
-//!   [`ResultCache::save_as`] with [`CacheFormat::V2`]. Floats are raw
-//!   IEEE-754 bits, keys raw UTF-8; loading needs no float parsing or
-//!   unescaping. Conversion between the formats is lossless:
-//!   `v1 → v2 → v1` reproduces the original file bytes exactly.
+//!   store, the diff-able *interchange* text, written with
+//!   [`CacheFormat::V1`]. Floats are written with Rust's
+//!   shortest-roundtrip formatting.
+//!
+//! Either way a warm-cache exploration reproduces the cold run's reports
+//! **byte-identically** — the property the CI determinism smoke asserts.
+//! Conversion between the formats is lossless: `v1 → v2 → v1`
+//! reproduces the original file bytes exactly.
 //!
 //! The `k2` in both headers is the key generation: keys are the
 //! canonical field encodings of [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key)
@@ -75,12 +79,12 @@ pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2 k2\n";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
     /// The tab-separated text format (`memstream-grid-cache v1 k2`): the
-    /// interchange default, diff-able and greppable.
-    #[default]
+    /// diff-able, greppable interchange text.
     V1,
     /// The length-prefixed binary format (`memstream-grid-cache v2 k2`):
     /// raw IEEE-754 floats and unescaped keys behind a sorted record
-    /// index — the fast warm-start encoding.
+    /// index — the default, read lazily on a warm start.
+    #[default]
     V2,
 }
 
@@ -252,12 +256,15 @@ pub struct MergeStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
-    /// The overlay map: fresh inserts plus outcomes memoized from the
-    /// lazy view. Without a view this is simply *the* map.
+    /// The overlay map: inserted and merged-in entries only. Without a
+    /// view this is simply *the* map.
     entries: HashMap<String, CellOutcome>,
     /// The lazy backing file ([`ResultCache::load_lazy`]): probes hit
-    /// its index, records decode on demand and memoize into `entries`.
+    /// its index, and each hit decodes its record's outcome in place.
     view: Option<Arc<CacheView>>,
+    /// View outcomes by record ordinal, kept after their first decode
+    /// once [`ResultCache::keep_decoded`] asked for it; empty otherwise.
+    decoded: Vec<Option<CellOutcome>>,
     /// Overlay keys the view does not hold, so `len()` is
     /// `view.len() + overlay_new` without iterating either side.
     overlay_new: usize,
@@ -419,8 +426,10 @@ impl ResultCache {
 
     /// Opens a cache file **lazily**: a structurally valid v2 file is
     /// held as a [`CacheView`] — only its record index is read — and
-    /// records decode on demand as lookups touch them (memoized, so a
-    /// hot cell decodes once). Probes ([`ResultCache::contains_key`],
+    /// each lookup hit decodes that one record's outcome in place (no
+    /// key string and, unless [`ResultCache::keep_decoded`], no memo: a
+    /// cell looked up twice decodes twice).
+    /// Probes ([`ResultCache::contains_key`],
     /// planning) never decode at all. A missing file is an empty cache,
     /// and anything the view cannot validate (v1, flush streams,
     /// structural damage) falls back to the eager lenient
@@ -685,8 +694,9 @@ impl ResultCache {
 
     /// Writes the cache to `path` in `format`, sorted by key for
     /// reproducible bytes (both formats sort identically, so conversion
-    /// preserves entry order). Entries stream through a [`io::BufWriter`]
-    /// — the whole file is never materialised in memory.
+    /// preserves entry order). Entries stream through a [`io::BufWriter`],
+    /// each encoded into one reused buffer — the whole file is never
+    /// materialised in memory.
     ///
     /// A lazily loaded cache that was never extended or shadowed
     /// re-saves to v2 **verbatim**: the view's validation guarantees its
@@ -707,15 +717,27 @@ impl ResultCache {
                 return Ok(());
             }
         }
-        let mut keys = self.key_list();
-        keys.sort_unstable();
-        // Resolve outcomes up front (decoding any still-lazy records —
-        // a converting save is inherently eager), so the writers can
-        // stream over plain data.
-        let entries: Vec<(&str, CellOutcome)> = keys
-            .into_iter()
-            .filter_map(|key| Some((key, self.fetch(key)?)))
-            .collect();
+        // Overlay entries are borrowed; only view-held records the
+        // overlay does not shadow are decoded (a converting save is
+        // inherently eager).
+        let decoded: Vec<(&str, CellOutcome)> = match self.view.as_deref() {
+            Some(view) => (0..view.len())
+                .map(|ordinal| (view.key_at(ordinal), ordinal))
+                .filter(|(key, _)| !self.entries.contains_key(*key))
+                .filter_map(|(key, ordinal)| Some((key, view.outcome_at(ordinal)?)))
+                .collect(),
+            None => Vec::new(),
+        };
+        self.telemetry.records_decoded.add(decoded.len() as u64);
+        let mut entries: Vec<(&str, &CellOutcome)> =
+            Vec::with_capacity(self.entries.len() + decoded.len());
+        entries.extend(
+            self.entries
+                .iter()
+                .map(|(key, outcome)| (key.as_str(), outcome)),
+        );
+        entries.extend(decoded.iter().map(|(key, outcome)| (*key, outcome)));
+        entries.sort_unstable_by_key(|&(key, _)| key);
         let mut out = io::BufWriter::new(fs::File::create(path)?);
         let written = match format {
             CacheFormat::V1 => write_v1(&mut out, &entries)?,
@@ -779,24 +801,25 @@ impl ResultCache {
     /// Looks up an outcome, counting the hit/miss and timing the probe
     /// into the `cache.lookup` histogram when telemetry is enabled.
     ///
-    /// On a lazy cache, a view hit decodes that one record and memoizes
-    /// it into the overlay map — repeated lookups of a hot cell decode
-    /// once, so `cache.records_decoded` tracks *distinct* cells touched.
+    /// On a lazy cache, a view hit decodes that one record's outcome in
+    /// place and keeps nothing (unless [`ResultCache::keep_decoded`]):
+    /// the grid looks each unique cell up once, so
+    /// `cache.records_decoded` equals the view hits.
     pub(crate) fn lookup(&mut self, key: &str) -> Option<CellOutcome> {
         let started = self
             .telemetry
             .lookup_latency
             .is_live()
             .then(std::time::Instant::now);
-        let mut found = self.entries.get(key).cloned();
-        if found.is_none() {
-            if let Some((owned_key, outcome)) = self.view_fetch(key) {
-                // Memoize without touching `overlay_new`: the key is a
-                // view key, already counted by `len()`.
-                self.entries.insert(owned_key, outcome.clone());
-                found = Some(outcome);
-            }
-        }
+        let found = match self.entries.get(key) {
+            Some(outcome) => Some(outcome.clone()),
+            None => self.view_outcome(key).map(|(ordinal, outcome)| {
+                if let Some(slot @ None) = self.decoded.get_mut(ordinal) {
+                    *slot = Some(outcome.clone());
+                }
+                outcome
+            }),
+        };
         if let Some(started) = started {
             self.telemetry.lookup_latency.record(started.elapsed());
         }
@@ -814,33 +837,47 @@ impl ResultCache {
         }
     }
 
-    /// Probes the lazy view: one index binary search, and on a hit one
-    /// record decode. Counts both.
-    fn view_fetch(&self, key: &str) -> Option<(String, CellOutcome)> {
+    /// The view's record for `key` and its outcome: one index binary
+    /// search, then the outcome kept by [`ResultCache::keep_decoded`],
+    /// or else the record's outcome decoded in place. Counts the probe
+    /// and any decode.
+    fn view_outcome(&self, key: &str) -> Option<(usize, CellOutcome)> {
         let view = self.view.as_deref()?;
         self.telemetry.index_lookups.incr();
-        let decoded = view.decode(view.find(key)?)?;
+        let ordinal = view.find(key)?;
+        if let Some(Some(kept)) = self.decoded.get(ordinal) {
+            return Some((ordinal, kept.clone()));
+        }
+        let outcome = view.outcome_at(ordinal)?;
         self.telemetry.records_decoded.incr();
-        Some(decoded)
+        Some((ordinal, outcome))
     }
 
     /// Peeks at an outcome without touching the hit/miss counters (the
     /// shard planner asks "is this cell already known?" without it being
-    /// a lookup of record). Returns an owned outcome: on a lazy cache
-    /// the record may be decoded on the fly (without memoizing — peeks
-    /// take `&self`).
+    /// a lookup of record). On a lazy cache a view-held record is found
+    /// by one index binary search and its outcome decoded in place;
+    /// both count (`cache.index_lookups`, `cache.records_decoded`).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        if let Some(outcome) = self.entries.get(key) {
-            return Some(outcome.clone());
+        match self.entries.get(key) {
+            Some(outcome) => Some(outcome.clone()),
+            None => self.view_outcome(key).map(|(_, outcome)| outcome),
         }
-        self.view_fetch(key).map(|(_, outcome)| outcome)
     }
 
-    /// [`ResultCache::get`] without clone-avoidance niceties — the
-    /// resolve-everything path converting saves use.
-    fn fetch(&self, key: &str) -> Option<CellOutcome> {
-        self.get(key)
+    /// Keeps each view record's outcome after its first decode, so a
+    /// later lookup of the same cell clones it instead of decoding
+    /// again. For callers that look cells up more than once: the
+    /// refinement loop re-assembles every round over its grown grid. A
+    /// grid run looks each cell up once and leaves this off. A no-op
+    /// without a lazy view.
+    pub fn keep_decoded(&mut self) {
+        if let Some(view) = self.view.as_deref() {
+            if self.decoded.is_empty() {
+                self.decoded = vec![None; view.len()];
+            }
+        }
     }
 
     /// Whether `key` is cached, without counting a hit or miss. On a
@@ -872,6 +909,11 @@ impl ResultCache {
                 None => true,
             })
             .chain(view.into_iter().flat_map(CacheView::keys))
+    }
+
+    /// Makes room for `additional` inserts in one allocation.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
     }
 
     /// Inserts an outcome under `key`, replacing any previous entry.
@@ -1072,40 +1114,40 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Encodes one entry's record body (everything after the length prefix).
-fn encode_record(key: &str, outcome: &CellOutcome) -> Vec<u8> {
-    let mut body = Vec::with_capacity(key.len() + 64);
-    push_str(&mut body, key);
+/// Appends one entry's framed record (`u32` body length, then the body)
+/// to `out`. The body is encoded in place and its length patched in.
+fn push_record(out: &mut Vec<u8>, key: &str, outcome: &CellOutcome) {
+    let start = out.len();
+    push_u32(out, 0);
+    push_str(out, key);
     match outcome {
         CellOutcome::Feasible(p) => {
-            body.push(b'F');
-            push_f64(&mut body, p.buffer.bits());
-            push_str(&mut body, p.dominant);
-            push_opt_f64(&mut body, p.saving);
-            push_f64(&mut body, p.utilization.fraction());
-            push_f64(&mut body, p.lifetime.get());
-            push_opt_f64(
-                &mut body,
-                p.energy_per_bit.map(EnergyPerBit::joules_per_bit),
-            );
+            out.push(b'F');
+            push_f64(out, p.buffer.bits());
+            push_str(out, p.dominant);
+            push_opt_f64(out, p.saving);
+            push_f64(out, p.utilization.fraction());
+            push_f64(out, p.lifetime.get());
+            push_opt_f64(out, p.energy_per_bit.map(EnergyPerBit::joules_per_bit));
         }
         CellOutcome::Infeasible { region, detail } => {
-            body.push(b'X');
-            push_str(&mut body, region);
-            push_str(&mut body, detail);
+            out.push(b'X');
+            push_str(out, region);
+            push_str(out, detail);
         }
         CellOutcome::EnergyOnly(p) => {
-            body.push(b'D');
-            push_opt_f64(&mut body, p.break_even.map(DataSize::bits));
-            push_opt_f64(&mut body, p.buffer_for_saving.map(DataSize::bits));
-            push_opt_f64(&mut body, p.saving);
+            out.push(b'D');
+            push_opt_f64(out, p.break_even.map(DataSize::bits));
+            push_opt_f64(out, p.buffer_for_saving.map(DataSize::bits));
+            push_opt_f64(out, p.saving);
         }
         CellOutcome::Unmodelled { detail } => {
-            body.push(b'U');
-            push_str(&mut body, detail);
+            out.push(b'U');
+            push_str(out, detail);
         }
     }
-    body
+    let len = u32::try_from(out.len() - start - 4).expect("cache record exceeds u32 length");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// A bounds-checked cursor over a v2 byte stream. Every reader returns
@@ -1160,6 +1202,33 @@ impl<'a> ByteReader<'a> {
         self.str_slice().and_then(static_label)
     }
 
+    /// A record payload: the tag byte and its fields.
+    fn outcome(&mut self) -> Option<CellOutcome> {
+        Some(match self.take(1)?[0] {
+            b'F' => CellOutcome::Feasible(PlannedPoint {
+                buffer: DataSize::from_bits(self.f64()?),
+                dominant: self.label()?,
+                saving: self.opt_f64()?,
+                utilization: Ratio::from_fraction(self.f64()?),
+                lifetime: Years::new(self.f64()?),
+                energy_per_bit: self.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
+            }),
+            b'X' => CellOutcome::Infeasible {
+                region: self.label()?,
+                detail: self.string()?,
+            },
+            b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
+                break_even: self.opt_f64()?.map(DataSize::from_bits),
+                buffer_for_saving: self.opt_f64()?.map(DataSize::from_bits),
+                saving: self.opt_f64()?,
+            }),
+            b'U' => CellOutcome::Unmodelled {
+                detail: self.string()?,
+            },
+            _ => return None,
+        })
+    }
+
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
@@ -1173,30 +1242,22 @@ pub(crate) fn decode_record(body: &[u8]) -> Option<(String, CellOutcome)> {
         pos: 0,
     };
     let key = r.string()?;
-    let outcome = match r.take(1)?[0] {
-        b'F' => CellOutcome::Feasible(PlannedPoint {
-            buffer: DataSize::from_bits(r.f64()?),
-            dominant: r.label()?,
-            saving: r.opt_f64()?,
-            utilization: Ratio::from_fraction(r.f64()?),
-            lifetime: Years::new(r.f64()?),
-            energy_per_bit: r.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
-        }),
-        b'X' => CellOutcome::Infeasible {
-            region: r.label()?,
-            detail: r.string()?,
-        },
-        b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
-            break_even: r.opt_f64()?.map(DataSize::from_bits),
-            buffer_for_saving: r.opt_f64()?.map(DataSize::from_bits),
-            saving: r.opt_f64()?,
-        }),
-        b'U' => CellOutcome::Unmodelled {
-            detail: r.string()?,
-        },
-        _ => return None,
-    };
+    let outcome = r.outcome()?;
     r.done().then_some((key, outcome))
+}
+
+/// Decodes only the outcome of one record body: the key bytes are
+/// skipped, never copied or checked (a view's validation already read
+/// them). Rejects trailing garbage like [`decode_record`].
+pub(crate) fn decode_outcome(body: &[u8]) -> Option<CellOutcome> {
+    let mut r = ByteReader {
+        bytes: body,
+        pos: 0,
+    };
+    let key_len = r.u32()? as usize;
+    r.take(key_len)?;
+    let outcome = r.outcome()?;
+    r.done().then_some(outcome)
 }
 
 /// Leniently scans the records of a v2 file (`bytes` starts with
@@ -1327,7 +1388,7 @@ fn fetch_quiet(
     }
     let view = cache.view.as_deref()?;
     *probes += 1;
-    let (_, outcome) = view.decode(view.find(key)?)?;
+    let outcome = view.outcome_at(view.find(key)?)?;
     *decoded += 1;
     Some(outcome)
 }
@@ -1386,9 +1447,9 @@ fn scan_merge_slice(
     scan
 }
 
-/// Streams the v1 text encoding of pre-resolved entries, returning the
-/// bytes written.
-fn write_v1(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Result<u64> {
+/// Streams the v1 text encoding of sorted entries, returning the bytes
+/// written.
+fn write_v1(out: &mut impl io::Write, entries: &[(&str, &CellOutcome)]) -> io::Result<u64> {
     out.write_all(HEADER.as_bytes())?;
     out.write_all(b"\n")?;
     let mut written = HEADER.len() as u64 + 1;
@@ -1401,20 +1462,20 @@ fn write_v1(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Re
     Ok(written)
 }
 
-/// Streams the v2 binary encoding (records then index) of pre-resolved
+/// Streams the v2 binary encoding (records then index) of sorted
 /// entries, returning the bytes written.
-fn write_v2(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Result<u64> {
+fn write_v2(out: &mut impl io::Write, entries: &[(&str, &CellOutcome)]) -> io::Result<u64> {
     out.write_all(V2_MAGIC)?;
     out.write_all(&(entries.len() as u64).to_le_bytes())?;
     let mut offset = V2_MAGIC.len() as u64 + 8;
     let mut index: Vec<u64> = Vec::with_capacity(entries.len());
+    let mut record = Vec::new();
     for (key, outcome) in entries {
         index.push(offset);
-        let body = encode_record(key, outcome);
-        let len = u32::try_from(body.len()).expect("cache record exceeds u32 length");
-        out.write_all(&len.to_le_bytes())?;
-        out.write_all(&body)?;
-        offset += 4 + body.len() as u64;
+        record.clear();
+        push_record(&mut record, key, outcome);
+        out.write_all(&record)?;
+        offset += record.len() as u64;
     }
     let index_offset = offset;
     for record_offset in &index {
@@ -1477,10 +1538,7 @@ impl CacheAppender {
         let mut batch = Vec::new();
         let mut appended = 0usize;
         for (key, outcome) in entries {
-            let body = encode_record(key, outcome);
-            let len = u32::try_from(body.len()).expect("cache record exceeds u32 length");
-            batch.extend_from_slice(&len.to_le_bytes());
-            batch.extend_from_slice(&body);
+            push_record(&mut batch, key, outcome);
             appended += 1;
         }
         if appended == 0 {
@@ -2016,6 +2074,71 @@ mod tests {
     }
 
     #[test]
+    fn lazy_view_hits_decode_in_place_and_match_the_eager_load() {
+        let path = temp_path("view-hits.cache");
+        hostile_cache().save_as(&path, CacheFormat::V2).unwrap();
+        let eager = ResultCache::load(&path).unwrap();
+        let keys: Vec<String> = eager.keys().map(str::to_owned).collect();
+        let metrics = Metrics::enabled();
+        let decoded = || {
+            metrics
+                .snapshot()
+                .counter("cache.records_decoded")
+                .unwrap_or(0)
+        };
+        let mut lazy = ResultCache::load_lazy(&path).unwrap();
+        lazy.set_metrics(&metrics);
+        let len = lazy.len();
+        assert_eq!(len, keys.len());
+
+        assert!(keys.iter().all(|key| lazy.contains_key(key)));
+        assert_eq!(decoded(), 0, "index probes decode nothing");
+
+        let mut kinds = std::collections::HashSet::new();
+        for key in &keys {
+            let first = lazy.lookup(key).expect("every key hits");
+            let second = lazy.lookup(key).expect("and hits again");
+            assert_eq!(Some(&first), eager.get(key).as_ref(), "drift under {key:?}");
+            assert_eq!(first, second, "repeat lookups agree under {key:?}");
+            kinds.insert(std::mem::discriminant(&first));
+        }
+        assert_eq!(kinds.len(), 4, "every outcome kind went through a view hit");
+        assert!(
+            keys.iter().any(|key| key.contains('\t')),
+            "hostile key covered"
+        );
+        assert_eq!((lazy.hits(), lazy.misses()), (2 * keys.len(), 0));
+        assert_eq!(
+            decoded(),
+            2 * keys.len() as u64,
+            "one in-place decode per hit, nothing memoized"
+        );
+        assert!(lazy.entries.is_empty(), "the overlay holds inserts only");
+        assert_eq!(lazy.len(), len);
+        assert!(
+            !lazy.needs_save(CacheFormat::V2),
+            "an all-hit pass changes nothing"
+        );
+
+        // A caller that re-reads cells asks for each record to decode once.
+        let metrics = Metrics::enabled();
+        let mut kept = ResultCache::load_lazy(&path).unwrap();
+        kept.set_metrics(&metrics);
+        kept.keep_decoded();
+        for key in keys.iter().chain(&keys) {
+            assert_eq!(kept.lookup(key), eager.get(key));
+        }
+        let snapshot = metrics.snapshot();
+        assert_eq!(
+            snapshot.counter("cache.records_decoded"),
+            Some(keys.len() as u64)
+        );
+        assert_eq!(kept.hits(), 2 * keys.len());
+        assert!(!kept.needs_save(CacheFormat::V2));
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
     fn v2_save_load_round_trips_in_both_readers() {
         let path = temp_path("v2-roundtrip.cache");
         let cache = hostile_cache();
@@ -2130,7 +2253,7 @@ mod tests {
             assert_eq!(CacheFormat::parse_flag(format.flag()), Some(format));
         }
         assert_eq!(CacheFormat::parse_flag("v3"), None);
-        assert_eq!(CacheFormat::default(), CacheFormat::V1);
+        assert_eq!(CacheFormat::default(), CacheFormat::V2);
     }
 
     #[test]

@@ -229,6 +229,7 @@ impl GridExecutor {
         }
 
         let fresh = self.evaluate_jobs(grid, &miss_cells, workers.min(miss_cells.len()).max(1));
+        cache.reserve(miss_cells.len());
         for ((slot, cell), outcome) in miss_slots.into_iter().zip(&miss_cells).zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome.clone());
             outcomes[slot] = Some(outcome);
@@ -265,6 +266,7 @@ impl GridExecutor {
         }
         let workers = self.threads.min(miss_cells.len()).max(1);
         let fresh = self.evaluate_jobs(grid, &miss_cells, workers);
+        cache.reserve(miss_cells.len());
         for (cell, outcome) in miss_cells.iter().zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome);
         }

@@ -7,10 +7,14 @@
 //! other and with the record framing, and stops — **no record payload is
 //! decoded**. Key probes binary-search the index (keys are stored in
 //! strictly ascending byte order, so raw-byte comparison is exact), and
-//! individual records decode on demand from their recorded offsets.
-//! This is what makes a warm start proportional to the work actually
-//! requested instead of the cache size: a fully-warm exploration that
-//! only *plans* against the cache touches the index alone.
+//! a hit decodes only its record's outcome, in place from the recorded
+//! offset: the key bytes are skipped and nothing is kept, so a cell
+//! looked up twice decodes twice. This is what makes a warm start
+//! proportional to the work actually requested instead of the cache
+//! size: a fully-warm exploration that only *plans* against the cache
+//! touches the index alone, and a fully-warm run decodes one outcome
+//! per hit. v2 is the default cache encoding, so this is the read path
+//! of every default `--cache` re-run.
 //!
 //! The validation performed by [`CacheView::open`] is deliberately the
 //! same as the strict loader's structural pass (they share the crate's
@@ -24,7 +28,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::cache::{decode_record, CacheFileError, V2_MAGIC};
+use crate::cache::{decode_outcome, CacheFileError, V2_MAGIC};
 use crate::eval::CellOutcome;
 
 /// Reads a little-endian `u32` at `pos`, if the file holds one there.
@@ -238,17 +242,19 @@ impl CacheView {
         self.find(key).is_some()
     }
 
-    /// Decodes the record at `ordinal` (`None` if the payload is
-    /// malformed — structural validation does not cover payloads).
-    pub(crate) fn decode(&self, ordinal: usize) -> Option<(String, CellOutcome)> {
-        decode_record(record_body(&self.bytes, self.offsets[ordinal]))
+    /// Decodes the outcome of the record at `ordinal` in place: the key
+    /// bytes are skipped, no key `String` is built. `None` if the
+    /// payload is malformed — structural validation does not cover
+    /// payloads.
+    pub(crate) fn outcome_at(&self, ordinal: usize) -> Option<CellOutcome> {
+        decode_outcome(record_body(&self.bytes, self.offsets[ordinal]))
     }
 
     /// Decodes the outcome stored under `key`, if present and well
-    /// formed. Exactly one record is decoded.
+    /// formed. Exactly one record's outcome is decoded.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        self.decode(self.find(key)?).map(|(_, outcome)| outcome)
+        self.outcome_at(self.find(key)?)
     }
 
     /// The key at `ordinal`, straight from the file bytes (no decode).

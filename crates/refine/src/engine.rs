@@ -308,6 +308,9 @@ impl RefinementEngine {
             Some(external) => external,
             None => &mut scratch,
         };
+        // Every round re-assembles the grown grid, re-reading the cells
+        // of earlier rounds: decode each cached record once.
+        cache.keep_decoded();
 
         // Refinement accounting is explorer-agnostic: it is driven off the
         // round records (which every explorer fills the same way), not off

@@ -1,7 +1,7 @@
 //! Acceptance tests for the refinement loop: knee localisation, thread
 //! determinism, and cache-backed incrementality.
 
-use memstream_grid::{GridExecutor, ResultCache, ScenarioGrid};
+use memstream_grid::{CacheFormat, GridExecutor, Metrics, ResultCache, ScenarioGrid};
 use memstream_refine::{report, RefineConfig, RefinementEngine};
 
 fn engine(threads: usize, bound: f64) -> RefinementEngine {
@@ -139,6 +139,38 @@ fn a_warm_cache_rerun_evaluates_nothing_and_reproduces_the_bytes() {
         "cold and warm stdout must match byte-for-byte"
     );
     assert_eq!(cold.report.knees, warm.report.knees);
+}
+
+#[test]
+fn a_warm_run_over_a_lazy_v2_cache_decodes_each_record_once() {
+    let grid = ScenarioGrid::paper_baseline(8);
+    let mut cache = ResultCache::new();
+    let cold = engine(2, 0.05)
+        .refine(&grid, Some(&mut cache))
+        .expect("cold");
+    let path = std::env::temp_dir().join(format!(
+        "memstream-refine-lazy-{}.cache",
+        std::process::id()
+    ));
+    cache.save_as(&path, CacheFormat::V2).expect("save v2");
+
+    // Later rounds re-assemble the grown grid, so cells are looked up
+    // again; each record still decodes once.
+    let metrics = Metrics::enabled();
+    let mut lazy = ResultCache::load_lazy(&path).expect("load");
+    lazy.set_metrics(&metrics);
+    let warm = engine(2, 0.05)
+        .refine(&grid, Some(&mut lazy))
+        .expect("warm");
+    assert_eq!(report::refine_stdout(&cold), report::refine_stdout(&warm));
+    assert_eq!(warm.report.total_misses(), 0);
+    assert!(lazy.hits() > lazy.len(), "rounds re-read earlier cells");
+    let snapshot = metrics.snapshot();
+    assert_eq!(
+        snapshot.counter("cache.records_decoded"),
+        Some(lazy.len() as u64)
+    );
+    std::fs::remove_file(path).expect("cleanup");
 }
 
 #[test]

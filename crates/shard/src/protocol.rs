@@ -80,7 +80,8 @@ pub struct WorkerSpec {
     pub trace: Option<PathBuf>,
     /// The encoding of the cache file the worker writes (and the
     /// coordinator's warm file). The flag is only emitted for non-default
-    /// formats, so v1 command lines are byte-identical to older builds.
+    /// formats: the default (v2) stays off the wire, and an explicit v1
+    /// is sent as `--cache-format v1`.
     pub cache_format: CacheFormat,
     /// Lease mode: instead of evaluating the static `shard/shard_count`
     /// slice, the worker requests cell-range leases over the stderr/stdin
@@ -403,7 +404,7 @@ mod tests {
             stats: false,
             stats_json: None,
             trace: None,
-            cache_format: CacheFormat::V1,
+            cache_format: CacheFormat::default(),
             lease: false,
             fault: None,
             recipe: GridRecipe::baseline(24),
@@ -415,6 +416,31 @@ mod tests {
                 "`{absent}` off must stay off the wire (old coordinators reject it)"
             );
         }
+        assert_eq!(WorkerSpec::from_args(&args).unwrap(), spec);
+    }
+
+    #[test]
+    fn a_non_default_cache_format_is_sent_and_parsed_back() {
+        let spec = WorkerSpec {
+            shard: 0,
+            shard_count: 1,
+            cache: PathBuf::from("out.cache"),
+            warm: None,
+            threads: 0,
+            stats: false,
+            stats_json: None,
+            trace: None,
+            cache_format: CacheFormat::V1,
+            lease: false,
+            fault: None,
+            recipe: GridRecipe::baseline(24),
+        };
+        let args = spec.to_args();
+        let flag = args
+            .iter()
+            .position(|a| a == "--cache-format")
+            .expect("v1 is not the default, so it goes on the wire");
+        assert_eq!(args[flag + 1], "v1");
         assert_eq!(WorkerSpec::from_args(&args).unwrap(), spec);
     }
 
