@@ -36,7 +36,7 @@
 //! `MEMSTREAM_FAULT_PLAN=shard=K:PLAN` environment variable on a worker)
 //! injects deterministic worker faults for tests and CI smoke runs.
 //!
-//! `harness shard-worker --shard i/N --lease --cache PATH ...` is the
+//! `harness shard-worker --shard i/N --cache PATH ...` is the
 //! worker side of that protocol (not for interactive use): request
 //! leases over stderr, receive grants over stdin, evaluate and flush
 //! each granted range (`docs/CACHE_FORMAT.md`, `docs/SHARD_PROTOCOL.md`).
@@ -50,12 +50,9 @@
 //! table on stderr) and `--stats-json PATH` (snapshot as JSON), and —
 //! together with `bench` — `--trace PATH` (the run's timeline as a
 //! Chrome/Perfetto-loadable trace, shard worker events merged in); none
-//! of them ever changes stdout. `--cache-format v1|v2` (with `--cache` or
-//! `--shards`) selects the cache file encoding — `v2`, the default, is
-//! the binary format a warm run reads lazily, `v1` the diff-able TSV
-//! interchange text; readers auto-detect, a file in the other encoding
-//! is rewritten once, and the choice never changes a stdout byte
-//! (`docs/CACHE_FORMAT.md`).
+//! of them ever changes stdout. `--cache` files use the binary v2
+//! encoding, which a warm run reads lazily; a file with another header
+//! is named on stderr and rewritten by the run (`docs/CACHE_FORMAT.md`).
 
 use memstream_bench::{
     ablation_best_effort, ablation_probe_ratings, breakeven_rows, comparison_rows, fig2_rows,
@@ -311,7 +308,6 @@ struct SharedFlags {
     rates: usize,
     threads: usize,
     cache_path: Option<String>,
-    cache_format: memstream_grid::CacheFormat,
     classic: bool,
     shards: Option<usize>,
     lease_cells: usize,
@@ -328,7 +324,6 @@ impl SharedFlags {
             rates: 24,
             threads: 0, // 0 = machine width
             cache_path: None,
-            cache_format: memstream_grid::CacheFormat::default(),
             classic: false,
             shards: None,
             lease_cells: 0, // 0 = auto: ~LEASE_CHUNKS_PER_WORKER chunks each
@@ -357,14 +352,6 @@ impl SharedFlags {
             "--rates" => self.rates = parse_flag(flag, &value()),
             "--threads" => self.threads = parse_flag(flag, &value()),
             "--cache" => self.cache_path = Some(value()),
-            "--cache-format" => {
-                let raw = value();
-                self.cache_format =
-                    memstream_grid::CacheFormat::parse_flag(&raw).unwrap_or_else(|| {
-                        eprintln!("bad value for --cache-format: `{raw}` is not v1 or v2");
-                        std::process::exit(2);
-                    });
-            }
             "--classic" => self.classic = true,
             "--shards" => self.shards = Some(parse_flag(flag, &value())),
             "--lease-cells" => self.lease_cells = parse_flag(flag, &value()),
@@ -461,7 +448,6 @@ impl SharedFlags {
             std::process::exit(2);
         });
         let mut opts = memstream_shard::ShardOptions::new(program, shards)
-            .with_cache_format(self.cache_format)
             .with_trace(self.trace.is_some())
             .with_lease_cells(self.lease_cells)
             .with_lease_deadline(std::time::Duration::from_secs_f64(self.lease_deadline));
@@ -534,15 +520,10 @@ fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
 /// 2 on I/O errors (shared by the `grid` and `refine` subcommands). Lazy:
 /// a valid v2 file is indexed, not decoded — warm planning probes the
 /// index and each lookup hit decodes only its record's outcome
-/// (`cache.records_decoded`). A v1 file loads eagerly and, when `format`
-/// is v2 (the default), is rewritten as v2 by the run's save. A file
-/// with another header (an older key generation) is named on stderr;
-/// the run starts cold and its save rewrites the file in `format`.
-fn load_cache(
-    path: &str,
-    format: memstream_grid::CacheFormat,
-    metrics: &memstream_grid::Metrics,
-) -> memstream_grid::ResultCache {
+/// (`cache.records_decoded`). A file with another header (an older key
+/// generation or encoding) is named on stderr; the run starts cold and
+/// its save rewrites the file.
+fn load_cache(path: &str, metrics: &memstream_grid::Metrics) -> memstream_grid::ResultCache {
     let cache = {
         let _load = metrics.span("cache.load").start();
         memstream_grid::ResultCache::load_lazy(path).unwrap_or_else(|e| {
@@ -554,25 +535,21 @@ fn load_cache(
         eprintln!(
             "cache file {path}: found header `{found}`, expected `{}`; \
              starting cold and rewriting it",
-            format.header()
+            memstream_grid::CACHE_HEADER
         );
     }
     cache
 }
 
-/// Saves `cache` to `path` in `format`, exiting 2 on I/O errors. A file
-/// the run did not change is not rewritten
+/// Saves `cache` to `path`, exiting 2 on I/O errors. A file the run did
+/// not change is not rewritten
 /// ([`memstream_grid::ResultCache::needs_save`]). Returns what happened,
 /// for the stderr accounting line.
-fn save_cache(
-    cache: &memstream_grid::ResultCache,
-    path: &str,
-    format: memstream_grid::CacheFormat,
-) -> &'static str {
-    if !cache.needs_save(format) {
+fn save_cache(cache: &memstream_grid::ResultCache, path: &str) -> &'static str {
+    if !cache.needs_save() {
         return "unchanged, not rewritten";
     }
-    cache.save_as(path, format).unwrap_or_else(|e| {
+    cache.save(path).unwrap_or_else(|e| {
         eprintln!("cache save error: {e}");
         std::process::exit(2);
     });
@@ -593,13 +570,12 @@ fn explore_cached_or_exit(
 }
 
 /// `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]
-/// [--cache PATH] [--cache-format v1|v2] [--classic] [--shards N]
+/// [--cache PATH] [--classic] [--shards N]
 /// [--lease-cells N] [--lease-deadline SECS] [--fault-plan SHARD:PLAN]`
 /// — the parallel scenario-grid
 /// exploration (see module docs). `--cache` loads/saves evaluated cells
 /// keyed by scenario content, so re-runs skip already-explored cells
-/// without changing a single output byte (`--cache-format` picks the
-/// file encoding, default v2); `--classic` restricts the
+/// without changing a single output byte; `--classic` restricts the
 /// registry to the paper's four devices (no flash); `--shards` fans
 /// evaluation out across worker processes under the lease scheduler and
 /// merges by cache union (`--lease-cells`/`--lease-deadline` tune the
@@ -628,7 +604,7 @@ fn grid(args: &[String]) {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --full-csv, \
-                     --validate, --cache, --cache-format, --classic, --shards, \
+                     --validate, --cache, --classic, --shards, \
                      --lease-cells, --lease-deadline, --fault-plan, \
                      --stats, --stats-json, --trace"
                 );
@@ -660,7 +636,7 @@ fn grid(args: &[String]) {
         let mut cache = cache_path
             .as_deref()
             .map_or_else(memstream_grid::ResultCache::new, |path| {
-                load_cache(path, shared.cache_format, &metrics)
+                load_cache(path, &metrics)
             });
         cache.set_metrics(&metrics);
         let run = memstream_shard::explore_sharded(
@@ -679,7 +655,7 @@ fn grid(args: &[String]) {
             // the healthy shards' work — persist it before failing and a
             // retry proceeds warm from everything that did complete.
             if let Some(path) = &cache_path {
-                let saved = save_cache(&cache, path, shared.cache_format);
+                let saved = save_cache(&cache, path);
                 eprintln!(
                     "cache file: {} entries {saved} (healthy shards only)",
                     cache.len()
@@ -690,7 +666,7 @@ fn grid(args: &[String]) {
         }
         let results = explore_cached_or_exit(executor, &spec, &mut cache);
         if let Some(path) = &cache_path {
-            let saved = save_cache(&cache, path, shared.cache_format);
+            let saved = save_cache(&cache, path);
             eprintln!("cache file: {} entries {saved}", cache.len());
         }
         results
@@ -702,10 +678,10 @@ fn grid(args: &[String]) {
         );
         match &cache_path {
             Some(path) => {
-                let mut cache = load_cache(path, shared.cache_format, &metrics);
+                let mut cache = load_cache(path, &metrics);
                 cache.set_metrics(&metrics);
                 let results = explore_cached_or_exit(executor, &spec, &mut cache);
-                let saved = save_cache(&cache, path, shared.cache_format);
+                let saved = save_cache(&cache, path);
                 // The accounting line is driven from the telemetry
                 // counters (attached right after load, so they equal the
                 // cache's own tallies) — one source for stderr and
@@ -751,13 +727,11 @@ fn grid(args: &[String]) {
 }
 
 /// `harness refine [--rates N] [--threads N] [--cache PATH]
-/// [--cache-format v1|v2] [--width-bound F] [--max-rounds N] [--classic]
-/// [--shards N]` — the
+/// [--width-bound F] [--max-rounds N] [--classic] [--shards N]` — the
 /// adaptive refinement loop (see module docs). `--width-bound` is the
 /// relative interval width a knee must be localised to (default 0.01 =
 /// 1 %); `--cache` makes re-runs evaluate nothing while reproducing
-/// stdout byte-for-byte (`--cache-format`, default v2, picks the file
-/// encoding); `--shards` fans each round's new rates out
+/// stdout byte-for-byte; `--shards` fans each round's new rates out
 /// across worker processes.
 fn refine(args: &[String]) {
     use memstream_grid::GridExecutor;
@@ -783,7 +757,7 @@ fn refine(args: &[String]) {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --cache, \
-                     --cache-format, --width-bound, --max-rounds, --classic, \
+                     --width-bound, --max-rounds, --classic, \
                      --shards, --lease-cells, --lease-deadline, --fault-plan, \
                      --stats, --stats-json, --trace"
                 );
@@ -814,9 +788,7 @@ fn refine(args: &[String]) {
             .with_width_bound(width_bound)
             .with_max_rounds(max_rounds),
     );
-    let mut cache = cache_path
-        .as_deref()
-        .map(|path| load_cache(path, shared.cache_format, &metrics));
+    let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
     if let Some(cache) = cache.as_mut() {
         cache.set_metrics(&metrics);
     }
@@ -846,7 +818,7 @@ fn refine(args: &[String]) {
             // healthy work of every completed round (plus the failed
             // round's healthy shards) — persist it so a retry runs warm.
             if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-                let saved = save_cache(cache, path, shared.cache_format);
+                let saved = save_cache(cache, path);
                 eprintln!(
                     "cache file: {} entries {saved} (completed work only)",
                     cache.len()
@@ -880,7 +852,7 @@ fn refine(args: &[String]) {
         )
     );
     if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-        let saved = save_cache(cache, path, shared.cache_format);
+        let saved = save_cache(cache, path);
         eprintln!("cache file: {} entries {saved}", cache.len());
     }
     shared.emit_stats(&metrics);
@@ -891,8 +863,9 @@ fn refine(args: &[String]) {
 /// `harness shard-worker --shard i/N --cache PATH [--warm PATH]
 /// [--threads N] [--rates N] [--classic] [--rate-list F,F,...]` — the
 /// worker side of the shard protocol (spawned by `--shards`, not meant
-/// for interactive use): evaluate slice `i/N` of the recipe grid's
-/// deduplicated cell range and write it as a result-cache file. Prints
+/// for interactive use): lease cell ranges of the recipe grid's
+/// deduplicated cell range from the coordinator, evaluate them and
+/// flush their records to the `--cache` path. Prints
 /// nothing to stdout; its accounting line goes to stderr, which the
 /// coordinator captures and forwards.
 fn shard_worker(args: &[String]) {

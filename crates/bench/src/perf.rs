@@ -4,16 +4,15 @@
 //! `harness bench` runs a fixed scenario battery — a cold cached grid
 //! exploration, the same exploration warm, a lazy warm-planning pass
 //! (index probes only, zero record decodes — counter-asserted), the
-//! hot-path micro phases (interned-key resolution, v1 vs v2 cache load,
-//! serial vs parallel v2 decode of a shard-scale file), a refinement
-//! run, and a two-shard process fan-out — each under its own fresh
-//! telemetry registry, and folds the snapshots into one JSON document
-//! (schema [`BENCH_SCHEMA`], evolution rules in
+//! hot-path micro phases (interned-key resolution, lazy cache load), a
+//! refinement run, and a two-shard process fan-out — each under its own
+//! fresh telemetry registry, and folds the snapshots into one JSON
+//! document (schema [`BENCH_SCHEMA`], evolution rules in
 //! `docs/OBSERVABILITY.md`). Committing that file per release gives the
 //! repository a perf trajectory: cells/sec cold and warm, lazy
 //! warm-start probes/sec, assemble seconds, key resolutions/sec,
-//! cache-load entries/sec per format and per decode strategy, knees
-//! localised per refinement round, and shard-merge throughput.
+//! cache-load entries/sec, knees localised per refinement round, and
+//! shard-merge throughput.
 //!
 //! Rates are computed from the same `grid.*`/`refine.*`/`shard.*` metric
 //! catalogue the `--stats` flag exposes, so a bench number can always be
@@ -25,7 +24,7 @@ use std::path::PathBuf;
 
 use memstream_grid::telemetry::json::JsonObject;
 use memstream_grid::telemetry::{TraceSnapshot, Tracer};
-use memstream_grid::{CacheFormat, GridExecutor, KeyInterner, Metrics, ResultCache};
+use memstream_grid::{GridExecutor, KeyInterner, Metrics, ResultCache};
 use memstream_refine::{RefineConfig, RefinementEngine};
 use memstream_shard::{explore_sharded, GridRecipe, ShardError, ShardOptions};
 
@@ -35,8 +34,9 @@ use memstream_shard::{explore_sharded, GridRecipe, ShardError, ShardOptions};
 /// percentiles to the `grid` section. v4 added the lazy warm-planning
 /// phase (probe rate plus the asserted-zero decode count), the serial
 /// vs parallel v2 decode phase, and the cold scenario's assemble
-/// seconds.
-pub const BENCH_SCHEMA: &str = "memstream-bench-grid v4";
+/// seconds. v5 replaced the v1-vs-v2 and serial-vs-parallel load phases
+/// (both alternatives are gone) with one lazy-load rate.
+pub const BENCH_SCHEMA: &str = "memstream-bench-grid v5";
 
 /// The build profile the bench binary was compiled under, recorded in
 /// the document so debug-build numbers can never masquerade as the
@@ -189,26 +189,11 @@ pub struct BenchReport {
     /// Records the lazy warm-planning phase decoded. Asserted zero at
     /// measurement time: warm planning is index probes only.
     pub lazy_records_decoded: u64,
-    /// Entries of the cache file the load phases parse.
+    /// Entries of the cache file the load phase opens.
     pub cache_entries: usize,
-    /// v1 (TSV) cache-load rate in entries per second.
-    pub v1_load_entries_per_sec: f64,
-    /// v2 (binary) cache-load rate in entries per second.
-    pub v2_load_entries_per_sec: f64,
-    /// Entries of the shard-scale synthetic cache the serial-vs-parallel
-    /// decode phase loads.
-    pub par_load_entries: usize,
-    /// Decode workers the production auto policy resolved for that file
-    /// on this host (1 on a single-core machine — the ratio then reads
-    /// as the policy's graceful degradation, not a speedup).
-    pub par_load_workers: usize,
-    /// Single-worker v2 decode rate on the synthetic cache, in entries
-    /// per second (the parallel phase's own baseline — same file, same
-    /// reps).
-    pub serial_load_entries_per_sec: f64,
-    /// Auto-fan-out partitioned v2 decode rate on the synthetic cache,
-    /// in entries per second.
-    pub par_load_entries_per_sec: f64,
+    /// [`ResultCache::load_lazy`] rate over that file (read, validate,
+    /// index), in entries per second.
+    pub load_entries_per_sec: f64,
     /// Refinement rounds actually run.
     pub refine_rounds: usize,
     /// Knees the refinement localised.
@@ -233,21 +218,6 @@ impl BenchReport {
     #[must_use]
     pub fn merge_mb_per_sec(&self) -> f64 {
         self.shard_merge_bytes as f64 / 1e6 / self.shard_merge_seconds.max(1e-9)
-    }
-
-    /// How much faster the binary v2 cache loads than the v1 TSV parse
-    /// (denominator clamped so degenerate runs stay finite).
-    #[must_use]
-    pub fn v2_load_speedup(&self) -> f64 {
-        self.v2_load_entries_per_sec / self.v1_load_entries_per_sec.max(1e-9)
-    }
-
-    /// How much faster the index-partitioned parallel v2 decode loads
-    /// the shard-scale synthetic cache than the single-worker decode of
-    /// the same file.
-    #[must_use]
-    pub fn par_load_speedup(&self) -> f64 {
-        self.par_load_entries_per_sec / self.serial_load_entries_per_sec.max(1e-9)
     }
 
     /// The versioned `BENCH_grid.json` document.
@@ -276,19 +246,9 @@ impl BenchReport {
                 "cache",
                 JsonObject::new()
                     .field_u64("entries", self.cache_entries as u64)
-                    .field_f64("v1_load_entries_per_sec", self.v1_load_entries_per_sec)
-                    .field_f64("v2_load_entries_per_sec", self.v2_load_entries_per_sec)
-                    .field_f64("v2_load_speedup", self.v2_load_speedup())
+                    .field_f64("load_entries_per_sec", self.load_entries_per_sec)
                     .field_f64("lazy_warm_cells_per_sec", self.lazy_warm_cells_per_sec)
-                    .field_u64("lazy_records_decoded", self.lazy_records_decoded)
-                    .field_u64("par_load_entries", self.par_load_entries as u64)
-                    .field_u64("par_load_workers", self.par_load_workers as u64)
-                    .field_f64(
-                        "serial_load_entries_per_sec",
-                        self.serial_load_entries_per_sec,
-                    )
-                    .field_f64("par_load_entries_per_sec", self.par_load_entries_per_sec)
-                    .field_f64("par_load_speedup", self.par_load_speedup()),
+                    .field_u64("lazy_records_decoded", self.lazy_records_decoded),
             )
             .field_object(
                 "refine",
@@ -317,8 +277,7 @@ impl BenchReport {
             "bench ({}): grid {} cells — cold {:.0} cells/s, warm {:.0} cells/s; \
              eval p50 {:.0} us, p99 {:.0} us; assemble {:.1} ms; \
              keys {:.0}/s; lazy warm {:.0} probes/s ({} decoded); \
-             cache load v1 {:.0}, v2 {:.0} entries/s ({:.1}x); \
-             par load {:.0} entries/s ({:.1}x serial, {} workers over {} entries); \
+             cache load {:.0} entries/s; \
              refine {} knees in {} rounds ({:.2}/round); \
              shard merge {:.2} MB/s over {} bytes\n",
             if self.config.quick {
@@ -335,13 +294,7 @@ impl BenchReport {
             self.key_resolutions_per_sec,
             self.lazy_warm_cells_per_sec,
             self.lazy_records_decoded,
-            self.v1_load_entries_per_sec,
-            self.v2_load_entries_per_sec,
-            self.v2_load_speedup(),
-            self.par_load_entries_per_sec,
-            self.par_load_speedup(),
-            self.par_load_workers,
-            self.par_load_entries,
+            self.load_entries_per_sec,
             self.refine_knees,
             self.refine_rounds,
             self.knees_per_round(),
@@ -422,7 +375,7 @@ pub fn run_bench_traced(
     // shifting a number.
     let lazy_metrics = Metrics::enabled_with_tracer(tracer);
     let lazy_path = scratch.join("bench.lazy.cache");
-    cache.save_as(&lazy_path, CacheFormat::V2)?;
+    cache.save(&lazy_path)?;
     let mut lazy_cache = ResultCache::load_lazy(&lazy_path)?;
     lazy_cache.set_metrics(&lazy_metrics);
     let lazy_probes = lazy_metrics.counter("bench.lazy_warm_probes");
@@ -454,7 +407,7 @@ pub fn run_bench_traced(
     );
 
     // Scenario 4: hot-path micro phases — interned-key resolution and
-    // v1-vs-v2 cache load, over the cold run's real entry set. Timed
+    // the lazy cache load, over the cold run's real entry set. Timed
     // through spans/counters like everything else, so the numbers can be
     // cross-checked against an instrumented run.
     let micro_metrics = Metrics::enabled_with_tracer(tracer);
@@ -470,71 +423,14 @@ pub fn run_bench_traced(
     resolutions.add((key_reps * unique.len()) as u64);
 
     let load_reps = if config.quick { 50 } else { 200 };
-    for (format, span_name, counter_name) in [
-        (
-            CacheFormat::V1,
-            "bench.cache_load_v1",
-            "bench.v1_load_entries",
-        ),
-        (
-            CacheFormat::V2,
-            "bench.cache_load_v2",
-            "bench.v2_load_entries",
-        ),
-    ] {
-        let path = scratch.join(format!("bench.{}.cache", format.flag()));
-        cache.save_as(&path, format)?;
-        let entries = micro_metrics.counter(counter_name);
-        let timer = micro_metrics.span(span_name).start();
-        let mut parsed = 0u64;
-        for _ in 0..load_reps {
-            let loaded = ResultCache::load(&path)?;
-            parsed += loaded.len() as u64;
-            std::hint::black_box(loaded.len());
-        }
-        drop(timer);
-        entries.add(parsed);
+    let loaded_entries = micro_metrics.counter("bench.load_entries");
+    let load_timer = micro_metrics.span("bench.cache_load").start();
+    for _ in 0..load_reps {
+        let loaded = ResultCache::load_lazy(&lazy_path)?;
+        loaded_entries.add(loaded.len() as u64);
+        std::hint::black_box(loaded.len());
     }
-
-    // Shard-scale serial-vs-parallel v2 decode: the cold run's entries
-    // replicated under suffixed keys so the file clears the parallel
-    // decode threshold by a wide margin, loaded with one pinned worker
-    // and then through the production auto fan-out (`load`'s own
-    // policy). The resolved worker count is recorded alongside the
-    // ratio: on a single-core host the policy degrades to the serial
-    // path by design and the ratio reads ~1x — the document says so
-    // instead of committing an oversubscription artefact. Same file,
-    // same reps — the ratio is the index partitioning's speedup and
-    // nothing else.
-    let replicas = 40;
-    let mut big = ResultCache::new();
-    let base_keys: Vec<String> = cache.keys().map(str::to_owned).collect();
-    for replica in 0..replicas {
-        for key in &base_keys {
-            let outcome = cache.get(key).expect("listed keys resolve");
-            big.insert(format!("{key}\treplica={replica}"), outcome);
-        }
-    }
-    let par_load_entries = big.len();
-    let par_load_workers = ResultCache::planned_load_workers(par_load_entries);
-    let par_path = scratch.join("bench.par.cache");
-    big.save_as(&par_path, CacheFormat::V2)?;
-    let par_reps = if config.quick { 5 } else { 20 };
-    for (workers, span_name, counter_name) in [
-        (1, "bench.cache_load_serial", "bench.serial_load_entries"),
-        (0, "bench.cache_load_par", "bench.par_load_entries"),
-    ] {
-        let entries = micro_metrics.counter(counter_name);
-        let timer = micro_metrics.span(span_name).start();
-        let mut parsed = 0u64;
-        for _ in 0..par_reps {
-            let loaded = ResultCache::load_with_workers(&par_path, workers)?;
-            parsed += loaded.len() as u64;
-            std::hint::black_box(loaded.len());
-        }
-        drop(timer);
-        entries.add(parsed);
-    }
+    drop(load_timer);
     let _ = std::fs::remove_dir_all(&scratch);
     let micro = micro_metrics.snapshot();
 
@@ -585,19 +481,8 @@ pub fn run_bench_traced(
             .unwrap_or(0.0),
         lazy_records_decoded,
         cache_entries: cache.len(),
-        v1_load_entries_per_sec: micro
-            .rate_per_second("bench.v1_load_entries", "bench.cache_load_v1")
-            .unwrap_or(0.0),
-        v2_load_entries_per_sec: micro
-            .rate_per_second("bench.v2_load_entries", "bench.cache_load_v2")
-            .unwrap_or(0.0),
-        par_load_entries,
-        par_load_workers,
-        serial_load_entries_per_sec: micro
-            .rate_per_second("bench.serial_load_entries", "bench.cache_load_serial")
-            .unwrap_or(0.0),
-        par_load_entries_per_sec: micro
-            .rate_per_second("bench.par_load_entries", "bench.cache_load_par")
+        load_entries_per_sec: micro
+            .rate_per_second("bench.load_entries", "bench.cache_load")
             .unwrap_or(0.0),
         refine_rounds: outcome.report.rounds.len(),
         refine_knees: outcome.report.knees.len(),
@@ -643,12 +528,7 @@ mod tests {
             lazy_warm_cells_per_sec: 5e6,
             lazy_records_decoded: 0,
             cache_entries: 200,
-            v1_load_entries_per_sec: 1e5,
-            v2_load_entries_per_sec: 1e6,
-            par_load_entries: 8000,
-            par_load_workers: 4,
-            serial_load_entries_per_sec: 1e6,
-            par_load_entries_per_sec: 4e6,
+            load_entries_per_sec: 1e6,
             refine_rounds: 3,
             refine_knees: 6,
             refine_seconds: 0.2,
@@ -674,24 +554,18 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((p99 - 0.002).abs() < 1e-12);
-        let speedup = doc
+        let load = doc
             .get("cache")
-            .and_then(|c| c.get("v2_load_speedup"))
+            .and_then(|c| c.get("load_entries_per_sec"))
             .and_then(Json::as_f64)
             .unwrap();
-        assert!((speedup - 10.0).abs() < 1e-9);
+        assert!((load - 1e6).abs() < 1e-3);
         assert_eq!(
             doc.get("cache")
                 .and_then(|c| c.get("lazy_records_decoded"))
                 .and_then(Json::as_u64),
             Some(0)
         );
-        let par_speedup = doc
-            .get("cache")
-            .and_then(|c| c.get("par_load_speedup"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((par_speedup - 4.0).abs() < 1e-9);
         let assemble = doc
             .get("grid")
             .and_then(|g| g.get("assemble_seconds"))
@@ -733,12 +607,7 @@ mod tests {
             lazy_warm_cells_per_sec: 0.0,
             lazy_records_decoded: 0,
             cache_entries: 0,
-            v1_load_entries_per_sec: 0.0,
-            v2_load_entries_per_sec: 0.0,
-            par_load_entries: 0,
-            par_load_workers: 0,
-            serial_load_entries_per_sec: 0.0,
-            par_load_entries_per_sec: 0.0,
+            load_entries_per_sec: 0.0,
             refine_rounds: 0,
             refine_knees: 0,
             refine_seconds: 0.0,
@@ -747,8 +616,6 @@ mod tests {
         };
         assert!(report.knees_per_round().is_finite());
         assert!(report.merge_mb_per_sec().is_finite());
-        assert!(report.v2_load_speedup().is_finite());
-        assert!(report.par_load_speedup().is_finite());
         assert!(memstream_grid::telemetry::json::parse(&report.to_json()).is_ok());
     }
 }

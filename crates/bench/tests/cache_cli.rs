@@ -1,7 +1,7 @@
 //! End-to-end tests of `--cache` files across key generations and
 //! encodings: a file written under another header is attributed on
-//! stderr and replaced, never loaded as a silent total miss; the default
-//! encoding is v2, and a v1 file is converted to it once.
+//! stderr and replaced by a v2 file, never loaded as a silent total
+//! miss; once replaced, warm runs leave it alone.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -29,36 +29,33 @@ fn run(args: &[&str]) -> Output {
     output
 }
 
-/// One run over a first-generation file (bare `v1`/`v2` header,
-/// Debug-rendered keys) prints one attributed stderr line, reproduces the
-/// cold stdout, and leaves exactly the file a cold run writes — no old
-/// key carried along.
+/// One run over a file of another header — the first key generation
+/// (bare `v1`/`v2` header, Debug-rendered keys) or the retired v1 text
+/// encoding — prints one attributed stderr line, reproduces the cold
+/// stdout, and leaves exactly the v2 file a cold run writes — no old key
+/// carried along.
 #[test]
 fn an_old_generation_cache_is_attributed_and_replaced() {
     let stale = temp_path("stale.cache");
     let stale_str = stale.to_str().expect("utf-8 temp path");
-    let old_line = "mems:MemsDevice { name: \"old\" }|w=Ratio { fraction: 0.4 }\tU\told";
-    for (format, header) in [
-        ("v1", "memstream-grid-cache v1"),
-        ("v2", "memstream-grid-cache v2"),
+    let grid = |path: &str| run(&["grid", "--rates", "5", "--cache", path]);
+    let fresh = temp_path("fresh.cache");
+    let _ = std::fs::remove_file(&fresh);
+    let reference = grid(fresh.to_str().expect("utf-8 temp path")).stdout;
+    let fresh_bytes = std::fs::read(&fresh).expect("cold run writes the cache");
+    assert!(fresh_bytes.starts_with(b"memstream-grid-cache v2 k2\n"));
+    for (header, line) in [
+        (
+            "memstream-grid-cache v1",
+            "mems:MemsDevice { name: \"old\" }|w=Ratio { fraction: 0.4 }\tU\told",
+        ),
+        (
+            "memstream-grid-cache v2",
+            "mems:MemsDevice { name: \"old\" }|w=Ratio { fraction: 0.4 }\tU\told",
+        ),
+        ("memstream-grid-cache v1 k2", "mems:3:old,w=0.4\tU\told"),
     ] {
-        let grid = |path: &str| {
-            run(&[
-                "grid",
-                "--rates",
-                "5",
-                "--cache",
-                path,
-                "--cache-format",
-                format,
-            ])
-        };
-        let fresh = temp_path(&format!("fresh-{format}.cache"));
-        let _ = std::fs::remove_file(&fresh);
-        let reference = grid(fresh.to_str().expect("utf-8 temp path")).stdout;
-        let fresh_bytes = std::fs::read(&fresh).expect("cold run writes the cache");
-
-        std::fs::write(&stale, format!("{header}\n{old_line}\n")).unwrap();
+        std::fs::write(&stale, format!("{header}\n{line}\n")).unwrap();
         let output = grid(stale_str);
         assert_eq!(output.stdout, reference);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -67,11 +64,11 @@ fn an_old_generation_cache_is_attributed_and_replaced() {
             .filter(|l| l.contains("found header"))
             .collect();
         assert_eq!(attributed.len(), 1, "{stderr}");
-        let expected = format!("{header} k2");
         assert!(
             attributed[0].contains(stale_str)
-                && attributed[0].contains(&format!("`{header}`"))
-                && attributed[0].contains(&format!("`{expected}`")),
+                && attributed[0].contains(&format!(
+                    "found header `{header}`, expected `memstream-grid-cache v2 k2`"
+                )),
             "{}",
             attributed[0]
         );
@@ -88,9 +85,10 @@ fn an_old_generation_cache_is_attributed_and_replaced() {
         let stderr = String::from_utf8_lossy(&warm.stderr);
         assert!(!stderr.contains("found header"), "{stderr}");
         assert!(stderr.contains(" 0 misses"), "{stderr}");
-        std::fs::remove_file(fresh).unwrap();
     }
-    std::fs::remove_file(stale).unwrap();
+    for path in [fresh, stale] {
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 /// The `count` column of the `--stats` row for span `name`.
@@ -105,16 +103,14 @@ fn span_count(stderr: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no `{name}` row in:\n{stderr}"))
 }
 
-/// A default `--cache` run writes the binary v2 encoding; a v1 file run
-/// under the default is rewritten as v2 once, and from then on warm runs
-/// leave the file alone.
+/// A default `--cache` run writes the binary v2 encoding; a file in the
+/// retired v1 text encoding is rewritten as v2 once, and from then on
+/// warm runs leave the file alone.
 #[test]
 fn the_default_encoding_is_v2_and_a_v1_file_converts_once() {
     let fresh = temp_path("default-fresh.cache");
     let v1 = temp_path("default-from-v1.cache");
-    for path in [&fresh, &v1] {
-        let _ = std::fs::remove_file(path);
-    }
+    let _ = std::fs::remove_file(&fresh);
     let (fresh_str, v1_str) = (
         fresh.to_str().expect("utf-8 temp path"),
         v1.to_str().expect("utf-8 temp path"),
@@ -123,25 +119,17 @@ fn the_default_encoding_is_v2_and_a_v1_file_converts_once() {
     let v2_bytes = std::fs::read(&fresh).expect("cold run writes the cache");
     assert!(v2_bytes.starts_with(b"memstream-grid-cache v2 k2\n"));
 
-    run(&[
-        "grid",
-        "--rates",
-        "5",
-        "--cache",
-        v1_str,
-        "--cache-format",
-        "v1",
-    ]);
-    assert!(std::fs::read(&v1)
-        .unwrap()
-        .starts_with(b"memstream-grid-cache v1 k2\n"));
-
-    // Warm over the v1 file under the default: all hits, one save, and
-    // exactly the bytes a cold default run writes.
+    std::fs::write(
+        &v1,
+        "memstream-grid-cache v1 k2\nmems:3:old,w=0.4\tU\told\n",
+    )
+    .unwrap();
+    // The v1 file is refused and replaced: one save, and exactly the
+    // bytes a cold default run writes.
     let converted = run(&["grid", "--rates", "5", "--cache", v1_str, "--stats"]);
     assert_eq!(converted.stdout, reference);
     let stderr = String::from_utf8_lossy(&converted.stderr);
-    assert!(stderr.contains(" 0 misses"), "{stderr}");
+    assert!(stderr.contains("found header"), "{stderr}");
     assert_eq!(span_count(&stderr, "cache.save"), 1, "{stderr}");
     assert_eq!(std::fs::read(&v1).unwrap(), v2_bytes);
 
@@ -149,6 +137,7 @@ fn the_default_encoding_is_v2_and_a_v1_file_converts_once() {
     let warm = run(&["grid", "--rates", "5", "--cache", v1_str, "--stats"]);
     assert_eq!(warm.stdout, reference);
     let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(stderr.contains(" 0 misses"), "{stderr}");
     assert!(stderr.contains("not rewritten"), "{stderr}");
     assert_eq!(span_count(&stderr, "cache.save"), 0, "{stderr}");
     assert_eq!(std::fs::read(&v1).unwrap(), v2_bytes, "file untouched");

@@ -147,16 +147,16 @@ fn span_entries(doc: &Json, name: &str) -> u64 {
 
 /// A fully warm `--cache` run times its one load under `cache.load` and
 /// does not rewrite the unchanged file: `cache.save` is never entered —
-/// for `grid` and `refine`, in-process and sharded, in either encoding.
+/// for `grid` and `refine`, in-process and sharded.
 #[test]
 fn a_warm_cache_run_loads_once_and_never_saves() {
     let json = temp_path("warm-spans.json");
     let json_str = json.to_str().expect("utf-8 temp path");
-    for (i, (command, shards, format)) in [
-        ("grid", None, "v1"),
-        ("grid", Some("2"), "v2"),
-        ("refine", None, "v2"),
-        ("refine", Some("2"), "v1"),
+    for (i, (command, shards)) in [
+        ("grid", None),
+        ("grid", Some("2")),
+        ("refine", None),
+        ("refine", Some("2")),
     ]
     .into_iter()
     .enumerate()
@@ -164,15 +164,7 @@ fn a_warm_cache_run_loads_once_and_never_saves() {
         let cache = temp_path(&format!("warm-spans-{i}.cache"));
         let _ = std::fs::remove_file(&cache);
         let cache_str = cache.to_str().expect("utf-8 temp path");
-        let mut args = vec![
-            command,
-            "--rates",
-            "5",
-            "--cache",
-            cache_str,
-            "--cache-format",
-            format,
-        ];
+        let mut args = vec![command, "--rates", "5", "--cache", cache_str];
         if command == "refine" {
             args.extend(["--max-rounds", "2"]);
         }

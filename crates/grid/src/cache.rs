@@ -3,52 +3,44 @@
 //! explorations (CI re-runs, interactive sweeps) skip already-evaluated
 //! cells across process boundaries.
 //!
-//! Two on-disk formats live here, both specified in
-//! `docs/CACHE_FORMAT.md` at the repository root and both fully
-//! interchangeable ([`ResultCache::load`] sniffs the header):
-//!
-//! * **v2** (`memstream-grid-cache v2 k2`) — the default
-//!   ([`CacheFormat::default`]): a length-prefixed binary record store
-//!   with a sorted key index. Floats are raw IEEE-754 bits, keys raw
-//!   UTF-8; reading needs no float parsing or unescaping.
-//!   [`ResultCache::load_lazy`] holds the file as a [`CacheView`] and a
-//!   hit decodes only that record's outcome, in place.
-//! * **v1** (`memstream-grid-cache v1 k2`) — a tab-separated text line
-//!   store, the diff-able *interchange* text, written with
-//!   [`CacheFormat::V1`]. Floats are written with Rust's
-//!   shortest-roundtrip formatting.
-//!
-//! Either way a warm-cache exploration reproduces the cold run's reports
+//! There is one on-disk encoding, specified in `docs/CACHE_FORMAT.md` at
+//! the repository root: `memstream-grid-cache v2 k2`, a length-prefixed
+//! binary record store with a sorted key index. Floats are raw IEEE-754
+//! bits, keys raw UTF-8; reading needs no float parsing or unescaping.
+//! A warm-cache exploration reproduces the cold run's reports
 //! **byte-identically** — the property the CI determinism smoke asserts.
-//! Conversion between the formats is lossless: `v1 → v2 → v1`
-//! reproduces the original file bytes exactly.
 //!
-//! The `k2` in both headers is the key generation: keys are the
-//! canonical field encodings of [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key)
-//! (about 220 bytes; no Rust field or type names). A file of the first
-//! generation (bare `v1`/`v2` header, Debug-rendered keys) is refused
-//! whole: [`ResultCache::load_strict`] returns
-//! [`CacheFileError::VersionMismatch`], and the lenient loaders start
-//! empty and report the header they found through
+//! Two readers:
+//!
+//! * [`ResultCache::load_lazy`], the lenient warm-start reader, holds a
+//!   valid file as a [`CacheView`] and a hit decodes only that record's
+//!   outcome, in place. A file whose index is missing or damaged (a
+//!   shard flush stream, a torn write) keeps the records before the
+//!   first damage — they simply become cache misses — so damage never
+//!   poisons a run.
+//! * [`ResultCache::load_strict`], the validating interchange reader:
+//!   a file that is not intact is an attributed error, never a smaller
+//!   cache. Tests use it as the reference decode.
+//!
+//! The `k2` in the header is the key generation: keys are the canonical
+//! field encodings of [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key)
+//! (about 220 bytes; no Rust field or type names). A file with any other
+//! header — the first generation's bare `v1`/`v2` headers, the retired
+//! `memstream-grid-cache v1 k2` text encoding, another program's file —
+//! is refused whole: [`ResultCache::load_strict`] returns
+//! [`CacheFileError::VersionMismatch`], and [`ResultCache::load_lazy`]
+//! starts empty and reports the header it found through
 //! [`ResultCache::stale_header`].
-//!
-//! Under [`ResultCache::load`], corrupt lines (v1) and trailing
-//! malformed records (v2) are ignored — they simply become cache misses
-//! — so damage never poisons a run.
 //!
 //! A warm run that changed nothing need not rewrite its file:
 //! [`ResultCache::needs_save`] is false when nothing was inserted or
-//! merged in, the loader dropped no damaged entry, and the file is
-//! already in the requested encoding.
+//! merged in and the loader read the file back intact.
 //!
-//! The cache file is also the workspace's **shard interchange format**:
-//! `memstream_shard` workers each emit their slice of a grid as a cache
-//! file, and the coordinator reassembles the run by
-//! [`ResultCache::merge`]-union. That path uses the strict reader
-//! ([`ResultCache::load_strict`]) — a wire format must fail loudly on
-//! version mismatch or corruption, where a warm-start convenience may
-//! shrug — and the union's conflict rule is byte-equality of the encoded
-//! entry (see `docs/CACHE_FORMAT.md` § "Union/merge semantics").
+//! The shard coordinator reassembles a sharded run by
+//! [`ResultCache::merge`]-union of the records it tails from the
+//! workers' flush streams ([`FlushReader`]); the union's conflict rule
+//! is byte-equality of the v2 record encoding (see
+//! `docs/CACHE_FORMAT.md` § "Union/merge semantics").
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,67 +55,37 @@ use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle};
 use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::view::{record_body, validate_v2, CacheView};
+use crate::view::{header_line, validate_v2, CacheView};
 
-/// The v1 header. The `k2` suffix names the key generation: the
-/// canonical field encoding of `docs/CACHE_FORMAT.md` § "Keys". Files of
-/// the first generation (Debug-rendered keys) carry the bare
-/// `memstream-grid-cache v1` / `v2` headers and are refused.
-const HEADER: &str = "memstream-grid-cache v1 k2";
-const HEADER_V2: &str = "memstream-grid-cache v2 k2";
-/// The sniffable v2 magic: the header line including its terminator.
+/// The header line every cache file starts with. The `k2` suffix names
+/// the key generation: the canonical field encoding of
+/// `docs/CACHE_FORMAT.md` § "Keys". Files with any other header are
+/// refused.
+pub const CACHE_HEADER: &str = "memstream-grid-cache v2 k2";
+/// The sniffable magic: the header line including its terminator.
 pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2 k2\n";
 
-/// Which on-disk encoding a [`ResultCache::save_as`] writes. Loading
-/// auto-detects, so the format is a producer-side choice only.
+/// The encoding [`ResultCache::save_as`] writes. There is only one, v2,
+/// and [`ResultCache::save`] writes it.
+///
+/// This type and `save_as` stay only because the benchmark's replay
+/// program (`perfbench/driver`) calls `CacheFormat::default()` and
+/// `save_as`, and that program changes only together with the
+/// benchmark. The next benchmark change drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
-    /// The tab-separated text format (`memstream-grid-cache v1 k2`): the
-    /// diff-able, greppable interchange text.
-    V1,
-    /// The length-prefixed binary format (`memstream-grid-cache v2 k2`):
-    /// raw IEEE-754 floats and unescaped keys behind a sorted record
-    /// index — the default, read lazily on a warm start.
+    /// The length-prefixed binary format (`memstream-grid-cache v2 k2`).
     #[default]
     V2,
 }
 
-impl CacheFormat {
-    /// Parses a CLI flag value (`"v1"` / `"v2"`).
-    #[must_use]
-    pub fn parse_flag(s: &str) -> Option<Self> {
-        match s {
-            "v1" => Some(CacheFormat::V1),
-            "v2" => Some(CacheFormat::V2),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag value this format parses from.
-    #[must_use]
-    pub fn flag(self) -> &'static str {
-        match self {
-            CacheFormat::V1 => "v1",
-            CacheFormat::V2 => "v2",
-        }
-    }
-
-    /// The header line a file in this format starts with.
-    #[must_use]
-    pub fn header(self) -> &'static str {
-        match self {
-            CacheFormat::V1 => HEADER,
-            CacheFormat::V2 => HEADER_V2,
-        }
-    }
-}
-
 /// Why a strict cache read ([`ResultCache::load_strict`]) rejected a file.
 ///
-/// The lenient reader ([`ResultCache::load`]) maps every non-I/O failure
-/// below to "empty cache / skipped line"; the strict reader exists for the
-/// shard interchange path, where silently dropping entries would corrupt a
-/// distributed run instead of merely slowing a warm start.
+/// The lenient reader ([`ResultCache::load_lazy`]) maps every non-I/O
+/// failure below to "empty cache" or "records after the damage are
+/// dropped"; the strict reader exists for interchange, where silently
+/// dropping entries would shrink a result instead of merely slowing a
+/// warm start.
 #[derive(Debug)]
 pub enum CacheFileError {
     /// The file could not be read at all.
@@ -133,11 +95,11 @@ pub enum CacheFileError {
         /// The header line actually found (empty for an empty file).
         found: String,
     },
-    /// A body line (v1) or record (v2) failed to parse as a cache entry.
+    /// A record's key framing is broken or out of order, or its payload
+    /// fails to decode.
     Malformed {
-        /// 1-based position of the offending entry: the file line for
-        /// v1, and `record ordinal + 2` for v2 (so entry *n* reports the
-        /// same position in either encoding).
+        /// 1-based position of the offending record: `record ordinal +
+        /// 2`, counting the header as position 1.
         line: usize,
     },
     /// The v2 structure around the records — the count field, the
@@ -158,7 +120,7 @@ impl fmt::Display for CacheFileError {
             CacheFileError::Io(e) => write!(f, "cache file unreadable: {e}"),
             CacheFileError::VersionMismatch { found } => write!(
                 f,
-                "cache version mismatch: expected `{HEADER}` or `{HEADER_V2}`, found `{found}`"
+                "cache version mismatch: expected `{CACHE_HEADER}`, found `{found}`"
             ),
             CacheFileError::Malformed { line } => {
                 write!(f, "cache file line {line} is not a valid entry")
@@ -189,7 +151,7 @@ impl From<io::Error> for CacheFileError {
 }
 
 /// A union conflict: two caches carry the same dedup key with entries
-/// that are **not byte-equal** in their encoded form.
+/// whose v2 record encodings are **not byte-equal**.
 ///
 /// Because evaluation is pure and floats round-trip exactly, two honest
 /// explorations of the same scenario can never disagree — a conflict
@@ -199,9 +161,9 @@ impl From<io::Error> for CacheFileError {
 pub struct CacheConflict {
     /// The dedup key both caches claim.
     pub key: String,
-    /// The encoded entry already held by the merge target.
+    /// The outcome already held by the merge target, rendered with `{:?}`.
     pub ours: String,
-    /// The encoded entry the merged-in cache carries.
+    /// The outcome the merged-in cache carries, rendered with `{:?}`.
     pub theirs: String,
 }
 
@@ -239,11 +201,11 @@ pub struct MergeStats {
 /// # let _ = std::fs::remove_file(&path);
 /// let grid = ScenarioGrid::paper_baseline(3);
 ///
-/// let mut cache = ResultCache::load(&path)?; // empty on first run
+/// let mut cache = ResultCache::load_lazy(&path)?; // empty on first run
 /// let cold = GridExecutor::serial().explore_cached(&grid, &mut cache)?;
 /// cache.save(&path)?;
 ///
-/// let mut warm = ResultCache::load(&path)?; // every cell hits
+/// let mut warm = ResultCache::load_lazy(&path)?; // every cell hits
 /// let rerun = GridExecutor::serial().explore_cached(&grid, &mut warm)?;
 /// assert_eq!(warm.hits(), rerun.unique_evaluations());
 /// assert_eq!(
@@ -272,14 +234,15 @@ pub struct ResultCache {
     /// verbatim re-save fast path (the file bytes are no longer the
     /// truth).
     shadowed: bool,
-    /// The encoding of the file this cache was loaded from, when every
-    /// entry in it was read back intact; `None` for a new cache, a
-    /// missing file, an unknown header or a load that dropped damage.
-    loaded: Option<CacheFormat>,
+    /// Whether this cache was loaded from a file read back intact;
+    /// false for a new cache, a missing file, an unknown header or a
+    /// load that dropped damage.
+    loaded: bool,
     /// Whether an insert or a merge added to the loaded entries.
     dirty: bool,
-    /// The first line of a file the lenient loaders refused for its
-    /// header (another key generation, another program's file).
+    /// The first line of a file [`ResultCache::load_lazy`] refused for
+    /// its header (another key generation or encoding, another
+    /// program's file).
     stale_header: Option<String>,
     hits: usize,
     misses: usize,
@@ -299,15 +262,11 @@ struct CacheTelemetry {
     merge_duplicates: Counter,
     merge_bytes: Counter,
     merge_span: SpanHandle,
-    /// Worker threads used across parallel merges (cumulative).
-    merge_workers: Counter,
     save_bytes: Counter,
-    v2_save_bytes: Counter,
     save_span: SpanHandle,
     /// Records decoded on demand from a lazy [`CacheView`] — the number
     /// a warm run must keep proportional to the work requested, not the
-    /// cache size. Eager loads do not count here (they are load-time
-    /// cost, visible through spans and byte counters instead).
+    /// cache size. Strict loads do not count here.
     records_decoded: Counter,
     /// Binary-search probes into a lazy view's record index.
     index_lookups: Counter,
@@ -327,9 +286,7 @@ impl CacheTelemetry {
             merge_duplicates: metrics.counter("cache.merge_duplicates"),
             merge_bytes: metrics.counter("cache.merge_bytes"),
             merge_span: metrics.span("cache.merge"),
-            merge_workers: metrics.counter("cache.merge_workers"),
             save_bytes: metrics.counter("cache.save_bytes"),
-            v2_save_bytes: metrics.counter("cache.v2_save_bytes"),
             save_span: metrics.span("cache.save"),
             records_decoded: metrics.counter("cache.records_decoded"),
             index_lookups: metrics.counter("cache.index_lookups"),
@@ -357,84 +314,20 @@ impl ResultCache {
         self.telemetry = CacheTelemetry::resolve(metrics);
     }
 
-    /// Loads a cache file eagerly, auto-detecting the format from its
-    /// header (text v1 or binary v2). A missing file yields an empty
-    /// cache; unparseable v1 lines are skipped and a malformed v2 record
-    /// drops it plus everything after it (the length-prefixed stream
-    /// cannot be resynchronised past damage).
+    /// Opens a cache file **lazily**, the lenient warm-start reader: a
+    /// structurally valid file is held as a [`CacheView`] — only its
+    /// record index is read — and each lookup hit decodes that one
+    /// record's outcome in place (no key string and, unless
+    /// [`ResultCache::keep_decoded`], no memo: a cell looked up twice
+    /// decodes twice). Probes ([`ResultCache::contains_key`], planning)
+    /// never decode at all.
     ///
-    /// For a structurally valid v2 file large enough to amortise thread
-    /// startup, the record index is partitioned across scoped worker
-    /// threads and decoded in parallel (see
-    /// [`ResultCache::load_with_workers`] to pin the worker count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "not found".
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::load_with_workers(path, 0)
-    }
-
-    /// [`ResultCache::load`] with an explicit decode worker count:
-    /// `0` picks automatically (serial below a few thousand records),
-    /// `1` forces the serial decode, higher values cap the scoped
-    /// threads the v2 index is partitioned across. v1 files always
-    /// decode serially (a text parse has no index to partition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "not found".
-    pub fn load_with_workers(path: impl AsRef<Path>, workers: usize) -> io::Result<Self> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ResultCache::new()),
-            Err(e) => return Err(e),
-        };
-        if bytes.starts_with(V2_MAGIC) {
-            if let Ok(offsets) = validate_v2(&bytes) {
-                let workers = if workers == 0 {
-                    auto_load_workers(offsets.len())
-                } else {
-                    workers
-                };
-                if workers > 1 {
-                    if let Some(entries) = decode_index_parallel(&bytes, &offsets, workers) {
-                        let mut cache = ResultCache::new();
-                        cache.entries = entries;
-                        cache.loaded = Some(CacheFormat::V2);
-                        return Ok(cache);
-                    }
-                    // A malformed payload despite a valid index: fall
-                    // through to the serial prefix scan for the usual
-                    // lenient keep-the-prefix semantics.
-                }
-            }
-        }
-        Ok(Self::from_bytes_eager(&bytes))
-    }
-
-    /// The decode worker count [`ResultCache::load`] resolves for a v2
-    /// file of `records` entries on this host: serial below the
-    /// parallelisation threshold, otherwise capped by the available
-    /// parallelism. Exposed so benchmarks and diagnostics report the
-    /// *actual* fan-out instead of re-deriving (and drifting from) the
-    /// policy.
-    #[must_use]
-    pub fn planned_load_workers(records: usize) -> usize {
-        auto_load_workers(records)
-    }
-
-    /// Opens a cache file **lazily**: a structurally valid v2 file is
-    /// held as a [`CacheView`] — only its record index is read — and
-    /// each lookup hit decodes that one record's outcome in place (no
-    /// key string and, unless [`ResultCache::keep_decoded`], no memo: a
-    /// cell looked up twice decodes twice).
-    /// Probes ([`ResultCache::contains_key`],
-    /// planning) never decode at all. A missing file is an empty cache,
-    /// and anything the view cannot validate (v1, flush streams,
-    /// structural damage) falls back to the eager lenient
-    /// [`ResultCache::load`] semantics, so `load_lazy` is a drop-in
-    /// replacement for warm-start reads.
+    /// Only an I/O error fails the load: a missing file is an empty
+    /// cache; a file with another header starts empty and names that
+    /// header in [`ResultCache::stale_header`]; a file the view cannot
+    /// validate (a flush stream, which has no index, or structural
+    /// damage) keeps every record before the first malformed one — the
+    /// length-prefixed stream cannot be resynchronised past damage.
     ///
     /// # Errors
     ///
@@ -445,129 +338,54 @@ impl ResultCache {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ResultCache::new()),
             Err(e) => return Err(e),
         };
-        if bytes.starts_with(V2_MAGIC) {
-            if let Ok(offsets) = validate_v2(&bytes) {
-                let mut cache = ResultCache::new();
-                cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
-                cache.loaded = Some(CacheFormat::V2);
-                return Ok(cache);
-            }
-        }
-        Ok(Self::from_bytes_eager(&bytes))
-    }
-
-    /// The eager lenient decode shared by the `load` family: v2 prefix
-    /// scan, v1 line-at-a-time, or empty for unknown headers (noted in
-    /// [`ResultCache::stale_header`]).
-    fn from_bytes_eager(bytes: &[u8]) -> Self {
         let mut cache = ResultCache::new();
-        if bytes.starts_with(V2_MAGIC) {
-            let (entries, complete) = parse_v2_lenient(bytes);
-            cache.entries = entries;
-            if complete && validate_v2(bytes).is_ok() {
-                cache.loaded = Some(CacheFormat::V2);
+        if !bytes.starts_with(V2_MAGIC) {
+            if !bytes.is_empty() {
+                cache.stale_header = Some(header_line(&bytes));
             }
-            return cache;
+        } else if let Ok(offsets) = validate_v2(&bytes) {
+            cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
+            cache.loaded = true;
+        } else {
+            cache.entries = parse_v2_lenient(&bytes);
         }
-        let Ok(text) = std::str::from_utf8(bytes) else {
-            // Binary without our magic: empty rather than failing, but
-            // attributed by its first line.
-            let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
-            if first != HEADER.as_bytes() {
-                cache.stale_header = Some(String::from_utf8_lossy(first).into_owned());
-            }
-            return cache;
-        };
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(HEADER) => {}
-            Some(found) => {
-                cache.stale_header = Some(found.to_owned());
-                return cache;
-            }
-            None => return cache,
-        }
-        // One entry per line: size the map once instead of rehashing.
-        let lines_hint = bytes.iter().filter(|&&b| b == b'\n').count();
-        cache.entries.reserve(lines_hint);
-        // A damaged line is skipped and becomes a miss; the file then no
-        // longer counts as read back intact.
-        let mut intact = true;
-        for line in lines {
-            match parse_line(line) {
-                Some((key, outcome)) => {
-                    cache.entries.insert(key, outcome);
-                }
-                None => intact = false,
-            }
-        }
-        if intact {
-            cache.loaded = Some(CacheFormat::V1);
-        }
-        cache
+        Ok(cache)
     }
 
-    /// Loads a cache file as a **wire format**: unlike [`ResultCache::load`],
-    /// a missing file, a version mismatch or any unparseable line is a hard
-    /// error. This is the reader the shard coordinator uses on worker
-    /// output — an interchange file that half-parses must never silently
-    /// shrink a distributed run.
+    /// Loads a cache file as an **interchange file**: unlike
+    /// [`ResultCache::load_lazy`], a missing file, another header, or
+    /// any structural or record damage is an attributed error, and every
+    /// record is decoded up front. A file that half-parses must never
+    /// silently shrink a result; tests also use this reader as the
+    /// reference decode the lazy view must agree with.
     ///
     /// # Errors
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not found"),
-    /// [`CacheFileError::VersionMismatch`] if the header line is neither
-    /// `memstream-grid-cache v1 k2` nor `memstream-grid-cache v2 k2`,
-    /// [`CacheFileError::MalformedIndex`] (attributed by byte offset) if
-    /// the v2 count, record index or trailer disagrees with the records
-    /// actually present, and [`CacheFileError::Malformed`] on the first
-    /// entry that fails to parse.
+    /// [`CacheFileError::VersionMismatch`] if the header line is not
+    /// `memstream-grid-cache v2 k2`, [`CacheFileError::MalformedIndex`]
+    /// (attributed by byte offset) if the count, record index or trailer
+    /// disagrees with the records actually present, and
+    /// [`CacheFileError::Malformed`] on the first record that fails to
+    /// decode.
     pub fn load_strict(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
-        let bytes = fs::read(path)?;
+        let view = CacheView::open(path)?;
         let mut cache = ResultCache::new();
-        if bytes.starts_with(V2_MAGIC) {
-            // Structure first (count/index/trailer, attributed by byte
-            // offset), then every record payload (attributed by ordinal).
-            let offsets = validate_v2(&bytes)?;
-            cache.entries = HashMap::with_capacity(offsets.len());
-            for (ordinal, &offset) in offsets.iter().enumerate() {
-                let (key, outcome) = decode_record(record_body(&bytes, offset))
-                    .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
-                cache.entries.insert(key, outcome);
-            }
-            cache.loaded = Some(CacheFormat::V2);
-            return Ok(cache);
+        cache.entries = HashMap::with_capacity(view.len());
+        for ordinal in 0..view.len() {
+            let outcome = view
+                .outcome_at(ordinal)
+                .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
+            cache
+                .entries
+                .insert(view.key_at(ordinal).to_owned(), outcome);
         }
-        let text = match String::from_utf8(bytes) {
-            Ok(text) => text,
-            Err(e) => {
-                // Binary, but not our magic: attribute by the bytes up to
-                // the first newline, rendered lossily.
-                let bytes = e.into_bytes();
-                let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-                return Err(CacheFileError::VersionMismatch {
-                    found: String::from_utf8_lossy(first).into_owned(),
-                });
-            }
-        };
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != HEADER {
-            return Err(CacheFileError::VersionMismatch {
-                found: header.to_owned(),
-            });
-        }
-        for (i, line) in lines.enumerate() {
-            let (key, outcome) =
-                parse_line(line).ok_or(CacheFileError::Malformed { line: i + 2 })?;
-            cache.entries.insert(key, outcome);
-        }
-        cache.loaded = Some(CacheFormat::V1);
+        cache.loaded = true;
         Ok(cache)
     }
 
     /// Unions `other` into `self`. Keys held by both caches must encode to
-    /// byte-identical entries; the union is therefore order-independent —
+    /// byte-identical v2 records; the union is therefore order-independent —
     /// merging shard caches in any order yields the same entry set, and
     /// [`ResultCache::save`] (which sorts by key) the same file bytes.
     ///
@@ -582,77 +400,63 @@ impl ResultCache {
     ///
     /// [`CacheConflict`] on the lowest-key conflicting entry.
     pub fn merge(&mut self, other: &ResultCache) -> Result<MergeStats, CacheConflict> {
-        self.merge_with_workers(other, auto_merge_workers(other.len()))
-    }
-
-    /// [`ResultCache::merge`] with an explicit worker count: `other`'s
-    /// key list is partitioned into `workers` contiguous slices, each
-    /// scanned for conflicts/duplicates/additions on its own scoped
-    /// thread (the detect pass is read-only, so it shares both caches
-    /// freely), and a single writer then stitches the additions in.
-    /// Detection still completes **before** any mutation, so the merge
-    /// stays atomic, and the union is a set — worker partitioning cannot
-    /// change the result, the stats, or the saved file bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheConflict`] on the lowest-key conflicting entry (`self` is
-    /// left untouched).
-    pub fn merge_with_workers(
-        &mut self,
-        other: &ResultCache,
-        workers: usize,
-    ) -> Result<MergeStats, CacheConflict> {
         let _merge_timer = self.telemetry.merge_span.start();
-        let keys = other.key_list();
-        let workers = workers.clamp(1, keys.len().max(1));
         let count_bytes = self.telemetry.is_enabled();
-        let scans: Vec<MergeScan> = if workers <= 1 {
-            vec![scan_merge_slice(self, other, &keys, count_bytes)]
-        } else {
-            let target = &*self;
-            let chunk = keys.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = keys
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || scan_merge_slice(target, other, slice, count_bytes))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-        self.telemetry.merge_workers.add(workers as u64);
-        let mut probes = 0u64;
-        let mut decoded = 0u64;
-        for scan in &scans {
-            probes += scan.probes;
-            decoded += scan.decoded;
-        }
-        self.telemetry.index_lookups.add(probes);
-        self.telemetry.records_decoded.add(decoded);
-        if let Some(conflict) = scans
-            .iter()
-            .filter_map(|scan| scan.conflict.as_ref())
-            .min_by(|a, b| a.key.cmp(&b.key))
-        {
-            return Err(conflict.clone());
-        }
-        let mut stats = MergeStats::default();
+        // Detect pass, read-only: it completes before any mutation, so a
+        // conflict leaves `self` untouched.
+        let mut tally = ViewTally::default();
+        let mut additions: Vec<(&str, CellOutcome)> = Vec::new();
+        let mut duplicates = 0usize;
         let mut bytes = 0u64;
-        for scan in scans {
-            stats.duplicates += scan.duplicates;
-            bytes += scan.bytes;
-            for (key, outcome) in scan.additions {
-                self.entries.insert(key, outcome);
-                stats.added += 1;
+        let mut conflict: Option<CacheConflict> = None;
+        let (mut ours_record, mut theirs_record) = (Vec::new(), Vec::new());
+        for key in other.keys() {
+            let theirs = fetch_quiet(other, key, &mut tally)
+                .expect("listed keys resolve in their own cache");
+            match fetch_quiet(self, key, &mut tally) {
+                Some(ours) => {
+                    // The conflict rule is byte-equality of the encoded
+                    // record, not structural equality: it is the file
+                    // bytes two shards must agree on, and it treats equal
+                    // NaN payloads as the duplicates they are.
+                    ours_record.clear();
+                    theirs_record.clear();
+                    push_record(&mut ours_record, key, &ours);
+                    push_record(&mut theirs_record, key, &theirs);
+                    if ours_record == theirs_record {
+                        duplicates += 1;
+                    } else if conflict.as_ref().is_none_or(|held| key < held.key.as_str()) {
+                        conflict = Some(CacheConflict {
+                            key: key.to_owned(),
+                            ours: format!("{ours:?}"),
+                            theirs: format!("{theirs:?}"),
+                        });
+                    }
+                }
+                None => {
+                    if count_bytes {
+                        theirs_record.clear();
+                        push_record(&mut theirs_record, key, &theirs);
+                        bytes += theirs_record.len() as u64;
+                    }
+                    additions.push((key, theirs));
+                }
             }
         }
-        // Every addition was absent from view *and* overlay (the scan
-        // checked), so the length bookkeeping is a plain bump.
+        self.telemetry.index_lookups.add(tally.probes);
+        self.telemetry.records_decoded.add(tally.decoded);
+        if let Some(conflict) = conflict {
+            return Err(conflict);
+        }
+        let stats = MergeStats {
+            added: additions.len(),
+            duplicates,
+        };
+        for (key, outcome) in additions {
+            self.entries.insert(key.to_owned(), outcome);
+        }
+        // Every addition was absent from view *and* overlay (the detect
+        // pass checked), so the length bookkeeping is a plain bump.
         self.overlay_new += stats.added;
         self.dirty |= stats.added > 0;
         self.telemetry.merge_bytes.add(bytes);
@@ -662,64 +466,32 @@ impl ResultCache {
         Ok(stats)
     }
 
-    /// Every key this cache holds: overlay keys first (excluding ones
-    /// the view also holds), then the view's sorted keys. Arbitrary
-    /// overall order.
-    fn key_list(&self) -> Vec<&str> {
-        match self.view.as_deref() {
-            None => self.entries.keys().map(String::as_str).collect(),
-            Some(view) => {
-                let mut keys: Vec<&str> = self
-                    .entries
-                    .keys()
-                    .map(String::as_str)
-                    .filter(|key| view.find(key).is_none())
-                    .collect();
-                keys.extend(view.keys());
-                keys
-            }
-        }
-    }
-
-    /// Writes the cache to `path` in the v1 text format, sorted by key
-    /// for reproducible bytes. Shorthand for [`ResultCache::save_as`]
-    /// with [`CacheFormat::V1`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.save_as(path, CacheFormat::V1)
-    }
-
-    /// Writes the cache to `path` in `format`, sorted by key for
-    /// reproducible bytes (both formats sort identically, so conversion
-    /// preserves entry order). Entries stream through a [`io::BufWriter`],
-    /// each encoded into one reused buffer — the whole file is never
-    /// materialised in memory.
+    /// Writes the cache to `path`, sorted by key for reproducible
+    /// bytes. Entries stream through a [`io::BufWriter`], each encoded
+    /// into one reused buffer — the whole file is never materialised in
+    /// memory.
     ///
     /// A lazily loaded cache that was never extended or shadowed
-    /// re-saves to v2 **verbatim**: the view's validation guarantees its
+    /// re-saves **verbatim**: the view's validation guarantees its
     /// entries re-encode to exactly the bytes it was opened over, so the
     /// file is rewritten without decoding a single record.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
+    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let _save_timer = self.telemetry.save_span.start();
-        if format == CacheFormat::V2 && self.overlay_new == 0 && !self.shadowed {
+        if self.overlay_new == 0 && !self.shadowed {
             if let Some(view) = self.view.as_deref() {
                 fs::write(path, view.file_bytes())?;
-                let written = view.file_bytes().len() as u64;
-                self.telemetry.save_bytes.add(written);
-                self.telemetry.v2_save_bytes.add(written);
+                self.telemetry
+                    .save_bytes
+                    .add(view.file_bytes().len() as u64);
                 return Ok(());
             }
         }
         // Overlay entries are borrowed; only view-held records the
-        // overlay does not shadow are decoded (a converting save is
-        // inherently eager).
+        // overlay does not shadow are decoded.
         let decoded: Vec<(&str, CellOutcome)> = match self.view.as_deref() {
             Some(view) => (0..view.len())
                 .map(|ordinal| (view.key_at(ordinal), ordinal))
@@ -739,16 +511,24 @@ impl ResultCache {
         entries.extend(decoded.iter().map(|(key, outcome)| (*key, outcome)));
         entries.sort_unstable_by_key(|&(key, _)| key);
         let mut out = io::BufWriter::new(fs::File::create(path)?);
-        let written = match format {
-            CacheFormat::V1 => write_v1(&mut out, &entries)?,
-            CacheFormat::V2 => write_v2(&mut out, &entries)?,
-        };
+        let written = write_v2(&mut out, &entries)?;
         out.flush()?;
         self.telemetry.save_bytes.add(written);
-        if format == CacheFormat::V2 {
-            self.telemetry.v2_save_bytes.add(written);
-        }
         Ok(())
+    }
+
+    /// [`ResultCache::save`] under another name. Kept only for the
+    /// benchmark's replay program (`perfbench/driver`), which calls it
+    /// and changes only together with the benchmark; the next benchmark
+    /// change drops it with [`CacheFormat`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
+        match format {
+            CacheFormat::V2 => self.save(path),
+        }
     }
 
     /// Number of cached outcomes.
@@ -766,19 +546,18 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Whether [`ResultCache::save_as`] in `format` would change the
-    /// file this cache was loaded from. It would not when all three
-    /// hold: nothing was inserted or merged in, the loader read every
-    /// entry back intact (no damaged line or record dropped), and the
-    /// file is already in `format`. A new cache, or one over a missing
+    /// Whether [`ResultCache::save`] would change the file this cache
+    /// was loaded from. It would not when both hold: nothing was
+    /// inserted or merged in, and the loader read the file back intact
+    /// (no damaged record dropped). A new cache, or one over a missing
     /// or refused file, always needs its save.
     #[must_use]
-    pub fn needs_save(&self, format: CacheFormat) -> bool {
-        self.dirty || self.loaded != Some(format)
+    pub fn needs_save(&self) -> bool {
+        self.dirty || !self.loaded
     }
 
-    /// The header line of a file the lenient loaders refused (another
-    /// key generation, another encoding version, or not a cache file):
+    /// The header line of a file [`ResultCache::load_lazy`] refused
+    /// (another key generation, another encoding, or not a cache file):
     /// the cache started empty instead. `None` when the file was read,
     /// missing or empty.
     #[must_use]
@@ -918,8 +697,8 @@ impl ResultCache {
 
     /// Inserts an outcome under `key`, replacing any previous entry.
     ///
-    /// Shard workers use this to assemble their slice of a grid into an
-    /// interchange cache; for unioning whole caches prefer
+    /// The executor records each fresh evaluation with this; for
+    /// unioning whole caches prefer
     /// [`ResultCache::merge`], which refuses conflicting entries instead
     /// of overwriting.
     pub fn insert(&mut self, key: String, outcome: CellOutcome) {
@@ -943,57 +722,6 @@ impl ResultCache {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-}
-
-fn unescape(s: &str) -> String {
-    if !s.contains('\\') {
-        return s.to_owned();
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "-".to_owned(), fmt_f64)
-}
-
-fn parse_f64(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok()
-}
-
-fn parse_opt(s: &str) -> Option<Option<f64>> {
-    if s == "-" {
-        Some(None)
-    } else {
-        parse_f64(s).map(Some)
-    }
-}
-
 /// Maps a parsed region/dominant label back to the `&'static str` the
 /// outcome types carry. Only labels the evaluator can produce round-trip;
 /// anything else rejects the line.
@@ -1011,77 +739,8 @@ fn static_label(s: &str) -> Option<&'static str> {
     }
 }
 
-fn encode_line(key: &str, outcome: &CellOutcome) -> String {
-    let payload = match outcome {
-        CellOutcome::Feasible(p) => format!(
-            "F\t{}\t{}\t{}\t{}\t{}\t{}",
-            fmt_f64(p.buffer.bits()),
-            p.dominant,
-            fmt_opt(p.saving),
-            fmt_f64(p.utilization.fraction()),
-            fmt_f64(p.lifetime.get()),
-            fmt_opt(p.energy_per_bit.map(EnergyPerBit::joules_per_bit)),
-        ),
-        CellOutcome::Infeasible { region, detail } => {
-            format!("X\t{}\t{}", region, escape(detail))
-        }
-        CellOutcome::EnergyOnly(p) => format!(
-            "D\t{}\t{}\t{}",
-            fmt_opt(p.break_even.map(DataSize::bits)),
-            fmt_opt(p.buffer_for_saving.map(DataSize::bits)),
-            fmt_opt(p.saving),
-        ),
-        CellOutcome::Unmodelled { detail } => format!("U\t{}", escape(detail)),
-    };
-    format!("{}\t{}", escape(key), payload)
-}
-
-/// The most tab-separated fields a v1 line has: key, tag and the six
-/// fields of a feasible plan.
-const MAX_LINE_FIELDS: usize = 8;
-
-fn parse_line(line: &str) -> Option<(String, CellOutcome)> {
-    // Split into a fixed array instead of a `Vec`: no allocation per line.
-    let mut slots = [""; MAX_LINE_FIELDS];
-    let mut count = 0;
-    for field in line.split('\t') {
-        *slots.get_mut(count)? = field;
-        count += 1;
-    }
-    let (&key, rest) = slots[..count].split_first()?;
-    let (&tag, payload) = rest.split_first()?;
-    let outcome = match (tag, payload) {
-        ("F", [buffer, dominant, saving, utilization, lifetime, energy]) => {
-            CellOutcome::Feasible(PlannedPoint {
-                buffer: DataSize::from_bits(parse_f64(buffer)?),
-                dominant: static_label(dominant)?,
-                saving: parse_opt(saving)?,
-                utilization: Ratio::from_fraction(parse_f64(utilization)?),
-                lifetime: Years::new(parse_f64(lifetime)?),
-                energy_per_bit: parse_opt(energy)?.map(EnergyPerBit::from_joules_per_bit),
-            })
-        }
-        ("X", [region, detail]) => CellOutcome::Infeasible {
-            region: static_label(region)?,
-            detail: unescape(detail),
-        },
-        ("D", [break_even, buffer_for_saving, saving]) => {
-            CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                break_even: parse_opt(break_even)?.map(DataSize::from_bits),
-                buffer_for_saving: parse_opt(buffer_for_saving)?.map(DataSize::from_bits),
-                saving: parse_opt(saving)?,
-            })
-        }
-        ("U", [detail]) => CellOutcome::Unmodelled {
-            detail: unescape(detail),
-        },
-        _ => return None,
-    };
-    Some((unescape(key), outcome))
-}
-
 // ---------------------------------------------------------------------
-// The v2 binary encoding (docs/CACHE_FORMAT.md § "v2 binary format").
+// The v2 binary encoding (docs/CACHE_FORMAT.md § "File layout").
 // Scalars are little-endian; floats are raw IEEE-754 bits, so the
 // round-trip through v2 is exact by construction. Strings are
 // `u32 length + UTF-8 bytes`, unescaped. Each record is
@@ -1266,21 +925,16 @@ pub(crate) fn decode_outcome(body: &[u8]) -> Option<CellOutcome> {
 /// consults the index, which lets it double as the flush-stream loader
 /// (flush streams have no index at all).
 ///
-/// Entries land directly in the cache's map shape, pre-sized from the
-/// header count — the binary format knows its cardinality up front, so
-/// a v2 load never rehashes (an edge the line-at-a-time v1 parse cannot
-/// have). Pre-sizing is capped against the honest minimum record
-/// footprint, so a hostile count cannot balloon the allocation past the
-/// actual file size.
-///
-/// Also returns whether all `count` records decoded.
-fn parse_v2_lenient(bytes: &[u8]) -> (HashMap<String, CellOutcome>, bool) {
+/// The map is pre-sized from the header count, capped against the
+/// honest minimum record footprint so a hostile count cannot balloon the
+/// allocation past the actual file size.
+fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
     let mut r = ByteReader {
         bytes,
         pos: V2_MAGIC.len(),
     };
     let Some(count) = r.u64().and_then(|c| usize::try_from(c).ok()) else {
-        return (HashMap::new(), false);
+        return HashMap::new();
     };
     let mut entries = HashMap::with_capacity(count.min(bytes.len() / 10));
     for _ in 0..count {
@@ -1292,174 +946,31 @@ fn parse_v2_lenient(bytes: &[u8]) -> (HashMap<String, CellOutcome>, bool) {
             Some((key, outcome)) => {
                 entries.insert(key, outcome);
             }
-            None => return (entries, false),
+            None => break,
         }
     }
-    (entries, true)
+    entries
 }
 
-/// Serial-below-this record count, the parallel load's thread startup
-/// costs more than it saves.
-const PARALLEL_LOAD_MIN_RECORDS: usize = 4096;
-
-/// Decode workers for an eager v2 load of `records` records: serial for
-/// small files, then one worker per ~2k records up to a modest cap.
-fn auto_load_workers(records: usize) -> usize {
-    if records < PARALLEL_LOAD_MIN_RECORDS {
-        return 1;
-    }
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    available.min(records / 2048).clamp(1, 8)
-}
-
-/// Merge workers for unioning `records` entries in: serial for small
-/// shard caches, then one worker per ~128 entries up to a modest cap.
-fn auto_merge_workers(records: usize) -> usize {
-    if records < 256 {
-        return 1;
-    }
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    available.min(records / 128).clamp(1, 8)
-}
-
-/// Decodes a validated v2 record index in parallel: contiguous index
-/// slices fan out across scoped worker threads, each decoding into its
-/// own pre-sized shard map, and a single writer stitches the shards
-/// into the final map. Returns `None` if any record payload fails to
-/// decode (the caller falls back to the serial lenient scan).
-fn decode_index_parallel(
-    bytes: &[u8],
-    offsets: &[usize],
-    workers: usize,
-) -> Option<HashMap<String, CellOutcome>> {
-    let chunk = offsets.len().div_ceil(workers.max(1)).max(1);
-    let shards: Vec<Option<HashMap<String, CellOutcome>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = offsets
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut shard = HashMap::with_capacity(slice.len());
-                    for &offset in slice {
-                        let (key, outcome) = decode_record(record_body(bytes, offset))?;
-                        shard.insert(key, outcome);
-                    }
-                    Some(shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load worker panicked"))
-            .collect()
-    });
-    let mut entries = HashMap::with_capacity(offsets.len());
-    for shard in shards {
-        entries.extend(shard?);
-    }
-    Some(entries)
-}
-
-/// What one merge worker found in its slice of the source's keys.
-struct MergeScan {
-    duplicates: usize,
-    /// Entries absent from the target, cloned and ready to stitch in.
-    additions: Vec<(String, CellOutcome)>,
-    /// Wire bytes of the additions (only computed when telemetry is
-    /// live — it exists for merge-throughput reporting).
-    bytes: u64,
-    /// Index probes / on-demand decodes performed against either
-    /// cache's lazy view, merged into the counters after the join.
+/// Lazy-view index probes and record decodes a merge made against
+/// either cache, added to the target's counters in one step.
+#[derive(Default)]
+struct ViewTally {
     probes: u64,
     decoded: u64,
-    /// The lowest-key conflict in this slice, if any.
-    conflict: Option<CacheConflict>,
 }
 
-/// Resolves `key` in a cache without telemetry (merge workers run off
-/// the counter path and account in bulk after the join).
-fn fetch_quiet(
-    cache: &ResultCache,
-    key: &str,
-    probes: &mut u64,
-    decoded: &mut u64,
-) -> Option<CellOutcome> {
+/// Resolves `key` in `cache` without touching its telemetry or its
+/// kept decodes, tallying any view probe and decode.
+fn fetch_quiet(cache: &ResultCache, key: &str, tally: &mut ViewTally) -> Option<CellOutcome> {
     if let Some(outcome) = cache.entries.get(key) {
         return Some(outcome.clone());
     }
     let view = cache.view.as_deref()?;
-    *probes += 1;
+    tally.probes += 1;
     let outcome = view.outcome_at(view.find(key)?)?;
-    *decoded += 1;
+    tally.decoded += 1;
     Some(outcome)
-}
-
-/// The merge detect pass over one contiguous slice of the source's
-/// keys: classify every key as duplicate (byte-equal wire encoding),
-/// addition, or conflict. Read-only — safe to run on many slices of the
-/// same two caches concurrently.
-fn scan_merge_slice(
-    target: &ResultCache,
-    source: &ResultCache,
-    keys: &[&str],
-    count_bytes: bool,
-) -> MergeScan {
-    let mut scan = MergeScan {
-        duplicates: 0,
-        additions: Vec::new(),
-        bytes: 0,
-        probes: 0,
-        decoded: 0,
-        conflict: None,
-    };
-    for &key in keys {
-        let theirs = fetch_quiet(source, key, &mut scan.probes, &mut scan.decoded)
-            .expect("key list entries resolve in their own cache");
-        match fetch_quiet(target, key, &mut scan.probes, &mut scan.decoded) {
-            Some(ours) => {
-                // The conflict rule is byte-equality of the *encoded*
-                // entry (the wire form), not structural equality: it is
-                // the file bytes two shards must agree on, and it treats
-                // equal NaN payloads as the duplicates they are.
-                let ours = encode_line(key, &ours);
-                let theirs = encode_line(key, &theirs);
-                if ours == theirs {
-                    scan.duplicates += 1;
-                } else if scan
-                    .conflict
-                    .as_ref()
-                    .is_none_or(|held| key < held.key.as_str())
-                {
-                    scan.conflict = Some(CacheConflict {
-                        key: key.to_owned(),
-                        ours,
-                        theirs,
-                    });
-                }
-            }
-            None => {
-                if count_bytes {
-                    scan.bytes += encode_line(key, &theirs).len() as u64 + 1;
-                }
-                scan.additions.push((key.to_owned(), theirs));
-            }
-        }
-    }
-    scan
-}
-
-/// Streams the v1 text encoding of sorted entries, returning the bytes
-/// written.
-fn write_v1(out: &mut impl io::Write, entries: &[(&str, &CellOutcome)]) -> io::Result<u64> {
-    out.write_all(HEADER.as_bytes())?;
-    out.write_all(b"\n")?;
-    let mut written = HEADER.len() as u64 + 1;
-    for (key, outcome) in entries {
-        let line = encode_line(key, outcome);
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        written += line.len() as u64 + 1;
-    }
-    Ok(written)
 }
 
 /// Streams the v2 binary encoding (records then index) of sorted
@@ -1499,7 +1010,7 @@ fn write_v2(out: &mut impl io::Write, entries: &[(&str, &CellOutcome)]) -> io::R
 /// writes the new records at the end of the file *first* and only then
 /// rewrites the count field, so a writer dying mid-append leaves the
 /// count pointing at the last fully-flushed batch: the lenient
-/// [`ResultCache::load`] reads exactly the valid prefix, and a
+/// [`ResultCache::load_lazy`] reads exactly the valid prefix, and a
 /// [`FlushReader`] tailing the stream drops the torn bytes. The strict
 /// [`ResultCache::load_strict`] rejects flush streams (no index) —
 /// deliberately, they are scratch, not interchange.
@@ -1692,6 +1203,13 @@ mod tests {
         dir.join(name)
     }
 
+    /// One entry through the v2 record encoding and back.
+    fn round_trip(key: &str, outcome: &CellOutcome) -> (String, CellOutcome) {
+        let mut record = Vec::new();
+        push_record(&mut record, key, outcome);
+        decode_record(&record[4..]).expect("record decodes")
+    }
+
     #[test]
     fn every_outcome_kind_round_trips_exactly() {
         // The baseline plus an energy-only-masked disk covers all four
@@ -1705,8 +1223,7 @@ mod tests {
         let mut seen_kinds = std::collections::HashSet::new();
         for (cell, outcome) in results.records() {
             let key = grid.dedup_key(&cell);
-            let line = encode_line(&key, outcome);
-            let (parsed_key, parsed) = parse_line(&line).expect("line parses");
+            let (parsed_key, parsed) = round_trip(&key, outcome);
             assert_eq!(parsed_key, key);
             assert_eq!(&parsed, outcome, "roundtrip drift for {key}");
             seen_kinds.insert(std::mem::discriminant(outcome));
@@ -1718,8 +1235,7 @@ mod tests {
         let unmodelled = CellOutcome::Unmodelled {
             detail: "missing capability: wear".to_owned(),
         };
-        let (_, parsed) = parse_line(&encode_line("k", &unmodelled)).expect("unmodelled parses");
-        assert_eq!(parsed, unmodelled);
+        assert_eq!(round_trip("k", &unmodelled).1, unmodelled);
     }
 
     #[test]
@@ -1732,22 +1248,7 @@ mod tests {
             lifetime: Years::unbounded(),
             energy_per_bit: None,
         });
-        let line = encode_line("k", &outcome);
-        let (_, parsed) = parse_line(&line).unwrap();
-        assert_eq!(parsed, outcome);
-    }
-
-    #[test]
-    fn hostile_strings_are_escaped() {
-        let outcome = CellOutcome::Infeasible {
-            region: "X",
-            detail: "tab\there\nnewline\\backslash".to_owned(),
-        };
-        let line = encode_line("key\twith\ttabs", &outcome);
-        assert_eq!(line.lines().count(), 1, "escaping keeps one line per entry");
-        let (key, parsed) = parse_line(&line).unwrap();
-        assert_eq!(key, "key\twith\ttabs");
-        assert_eq!(parsed, outcome);
+        assert_eq!(round_trip("k", &outcome).1, outcome);
     }
 
     #[test]
@@ -1761,7 +1262,7 @@ mod tests {
         assert_eq!(cache.misses(), results.unique_evaluations());
         cache.save(&path).unwrap();
 
-        let mut loaded = ResultCache::load(&path).unwrap();
+        let mut loaded = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(loaded.len(), cache.len());
         let warm = GridExecutor::parallel(4)
             .explore_cached(&grid, &mut loaded)
@@ -1776,12 +1277,37 @@ mod tests {
         fs::remove_file(path).unwrap();
     }
 
+    /// Overwrites the outcome tag of record `ordinal` in saved v2 bytes
+    /// with a byte no decoder accepts. Key framing, key order and the
+    /// index stay intact, so only a payload decode notices.
+    fn corrupt_tag(bytes: &mut [u8], ordinal: usize) {
+        let u32_at =
+            |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let mut pos = V2_MAGIC.len() + 8;
+        for _ in 0..ordinal {
+            pos += 4 + u32_at(pos);
+        }
+        let tag = pos + 8 + u32_at(pos + 4);
+        bytes[tag] = b'?';
+    }
+
     #[test]
     fn corrupt_lines_become_misses() {
         let path = temp_path("corrupt.cache");
-        fs::write(&path, format!("{HEADER}\nnot-a-valid-line\nk\tF\tbogus\n")).unwrap();
-        let cache = ResultCache::load(&path).unwrap();
-        assert!(cache.is_empty());
+        let mut cache = ResultCache::new();
+        for key in ["a", "b", "c"] {
+            cache.insert(key.to_owned(), unmodelled(key));
+        }
+        cache.save(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        corrupt_tag(&mut bytes, 1);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut lazy = ResultCache::load_lazy(&path).unwrap();
+        assert_eq!(lazy.lookup("a"), Some(unmodelled("a")));
+        assert_eq!(lazy.lookup("b"), None, "the damaged record is a miss");
+        assert_eq!(lazy.lookup("c"), Some(unmodelled("c")));
+        assert_eq!((lazy.hits(), lazy.misses()), (2, 1));
         fs::remove_file(path).unwrap();
     }
 
@@ -1789,15 +1315,17 @@ mod tests {
     fn unknown_header_is_an_empty_cache() {
         let path = temp_path("future.cache");
         fs::write(&path, "memstream-grid-cache v99\nwhatever\n").unwrap();
-        let cache = ResultCache::load(&path).unwrap();
+        let cache = ResultCache::load_lazy(&path).unwrap();
         assert!(cache.is_empty());
+        assert_eq!(cache.stale_header(), Some("memstream-grid-cache v99"));
         fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_cache() {
-        let cache = ResultCache::load(temp_path("does-not-exist.cache")).unwrap();
+        let cache = ResultCache::load_lazy(temp_path("does-not-exist.cache")).unwrap();
         assert!(cache.is_empty());
+        assert_eq!(cache.stale_header(), None);
     }
 
     #[test]
@@ -1917,7 +1445,13 @@ mod tests {
         fs::remove_file(versioned).unwrap();
 
         let corrupt = temp_path("strict-corrupt.cache");
-        fs::write(&corrupt, format!("{HEADER}\nk\tU\tok\nbroken line\n")).unwrap();
+        let mut cache = ResultCache::new();
+        cache.insert("k".to_owned(), unmodelled("ok"));
+        cache.insert("l".to_owned(), unmodelled("broken"));
+        cache.save(&corrupt).unwrap();
+        let mut bytes = fs::read(&corrupt).unwrap();
+        corrupt_tag(&mut bytes, 1);
+        fs::write(&corrupt, &bytes).unwrap();
         match ResultCache::load_strict(&corrupt).unwrap_err() {
             CacheFileError::Malformed { line } => assert_eq!(line, 3),
             other => panic!("expected malformed line, got {other}"),
@@ -1930,119 +1464,102 @@ mod tests {
         ));
     }
 
-    /// First-generation files (Debug-rendered keys, bare `v1`/`v2`
-    /// headers) must never load as a silent total miss.
+    /// Files of another key generation (Debug-rendered keys, bare
+    /// `v1`/`v2` headers) or of the retired v1 text encoding must never
+    /// load as a silent total miss.
     #[test]
     fn old_generation_headers_are_refused_and_attributed() {
-        let v1 = temp_path("gen1-v1.cache");
+        let gen1_v1 = temp_path("gen1-v1.cache");
         fs::write(
-            &v1,
+            &gen1_v1,
             "memstream-grid-cache v1\nmems:MemsDevice { name: \"x\" }\tU\td\n",
         )
         .unwrap();
-        let v2 = temp_path("gen1-v2.cache");
+        let gen1_v2 = temp_path("gen1-v2.cache");
         let mut bytes = b"memstream-grid-cache v2\n".to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe, 0, 0, 0, 0, 0, 0]);
-        fs::write(&v2, bytes).unwrap();
+        fs::write(&gen1_v2, bytes).unwrap();
+        let text_v1 = temp_path("k2-v1.cache");
+        fs::write(&text_v1, "memstream-grid-cache v1 k2\nkind:1:x,w\tU\td\n").unwrap();
         for (path, header) in [
-            (&v1, "memstream-grid-cache v1"),
-            (&v2, "memstream-grid-cache v2"),
+            (&gen1_v1, "memstream-grid-cache v1"),
+            (&gen1_v2, "memstream-grid-cache v2"),
+            (&text_v1, "memstream-grid-cache v1 k2"),
         ] {
             match ResultCache::load_strict(path).unwrap_err() {
                 CacheFileError::VersionMismatch { found } => assert_eq!(found, header),
                 other => panic!("expected version mismatch, got {other}"),
             }
-            for cache in [
-                ResultCache::load(path).unwrap(),
-                ResultCache::load_lazy(path).unwrap(),
-            ] {
-                assert!(cache.is_empty());
-                assert_eq!(cache.stale_header(), Some(header));
-                assert!(cache.needs_save(CacheFormat::V1) && cache.needs_save(CacheFormat::V2));
-            }
+            let cache = ResultCache::load_lazy(path).unwrap();
+            assert!(cache.is_empty());
+            assert_eq!(cache.stale_header(), Some(header));
+            assert!(cache.needs_save());
             fs::remove_file(path).unwrap();
         }
-        assert_eq!(CacheFormat::V1.header(), "memstream-grid-cache v1 k2");
-        assert_eq!(CacheFormat::V2.header(), "memstream-grid-cache v2 k2");
+        assert_eq!(CACHE_HEADER, "memstream-grid-cache v2 k2");
+        assert_eq!(V2_MAGIC, format!("{CACHE_HEADER}\n").as_bytes());
     }
 
     #[test]
     fn an_unchanged_warm_cache_needs_no_save_in_its_own_format() {
         let grid = ScenarioGrid::paper_baseline(3);
         let mut cold = ResultCache::new();
-        assert!(
-            cold.needs_save(CacheFormat::V1),
-            "a new cache writes its file"
-        );
+        assert!(cold.needs_save(), "a new cache writes its file");
         GridExecutor::serial()
             .explore_cached(&grid, &mut cold)
             .unwrap();
-        for format in [CacheFormat::V1, CacheFormat::V2] {
-            let other = match format {
-                CacheFormat::V1 => CacheFormat::V2,
-                CacheFormat::V2 => CacheFormat::V1,
-            };
-            let path = temp_path(&format!("unchanged-{}.cache", format.flag()));
-            cold.save_as(&path, format).unwrap();
-            for load in [ResultCache::load, ResultCache::load_lazy, |p| {
-                ResultCache::load_strict(p).map_err(|e| io::Error::other(e.to_string()))
-            }] {
-                let mut warm = load(&path).unwrap();
-                assert_eq!(warm.stale_header(), None);
-                GridExecutor::serial()
-                    .explore_cached(&grid, &mut warm)
-                    .unwrap();
-                assert_eq!(warm.misses(), 0);
-                assert!(!warm.needs_save(format), "all-hit run over {format:?}");
-                assert!(warm.needs_save(other), "a format conversion still saves");
-                warm.insert(
-                    "new-key".into(),
-                    CellOutcome::Unmodelled { detail: "d".into() },
-                );
-                assert!(warm.needs_save(format), "an insert dirties the cache");
-            }
-
-            // A merge that only meets duplicates changes nothing; one
-            // that adds an entry does.
-            let mut warm = ResultCache::load_lazy(&path).unwrap();
-            warm.merge(&cold).unwrap();
-            assert!(!warm.needs_save(format));
-            let mut extra = ResultCache::new();
-            extra.insert(
-                "zz-extra".into(),
+        let path = temp_path("unchanged.cache");
+        cold.save(&path).unwrap();
+        for load in [ResultCache::load_lazy, |p| {
+            ResultCache::load_strict(p).map_err(|e| io::Error::other(e.to_string()))
+        }] {
+            let mut warm = load(&path).unwrap();
+            assert_eq!(warm.stale_header(), None);
+            GridExecutor::serial()
+                .explore_cached(&grid, &mut warm)
+                .unwrap();
+            assert_eq!(warm.misses(), 0);
+            assert!(!warm.needs_save(), "all-hit run");
+            warm.insert(
+                "new-key".into(),
                 CellOutcome::Unmodelled { detail: "d".into() },
             );
-            warm.merge(&extra).unwrap();
-            assert!(warm.needs_save(format));
-            fs::remove_file(path).unwrap();
+            assert!(warm.needs_save(), "an insert dirties the cache");
         }
+
+        // A merge that only meets duplicates changes nothing; one that
+        // adds an entry does.
+        let mut warm = ResultCache::load_lazy(&path).unwrap();
+        warm.merge(&cold).unwrap();
+        assert!(!warm.needs_save());
+        let mut extra = ResultCache::new();
+        extra.insert(
+            "zz-extra".into(),
+            CellOutcome::Unmodelled { detail: "d".into() },
+        );
+        warm.merge(&extra).unwrap();
+        assert!(warm.needs_save());
+        fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn a_load_that_dropped_damage_needs_its_save() {
-        let v1 = temp_path("damaged-v1.cache");
-        fs::write(&v1, format!("{HEADER}\nk\tU\tok\nbroken line\n")).unwrap();
-        let cache = ResultCache::load_lazy(&v1).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(cache.needs_save(CacheFormat::V1));
-        fs::remove_file(v1).unwrap();
-
         // A v2 file with its index torn off loads its records leniently,
         // but the file is not intact.
         let v2 = temp_path("damaged-v2.cache");
         let mut cache = ResultCache::new();
         cache.insert("k".into(), CellOutcome::Unmodelled { detail: "d".into() });
-        cache.save_as(&v2, CacheFormat::V2).unwrap();
+        cache.save(&v2).unwrap();
         let bytes = fs::read(&v2).unwrap();
         fs::write(&v2, &bytes[..bytes.len() - 16]).unwrap();
         let cache = ResultCache::load_lazy(&v2).unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(cache.needs_save(CacheFormat::V2));
+        assert!(cache.needs_save());
         fs::remove_file(v2).unwrap();
     }
 
-    /// A cache holding every outcome kind plus hostile keys/details —
-    /// the conversion fixtures.
+    /// A cache holding every outcome kind plus hostile keys/details:
+    /// tabs, newlines and backslashes travel unescaped in v2 strings.
     fn hostile_cache() -> ResultCache {
         let grid = ScenarioGrid::paper_baseline(4);
         let mut cache = ResultCache::new();
@@ -2076,8 +1593,8 @@ mod tests {
     #[test]
     fn lazy_view_hits_decode_in_place_and_match_the_eager_load() {
         let path = temp_path("view-hits.cache");
-        hostile_cache().save_as(&path, CacheFormat::V2).unwrap();
-        let eager = ResultCache::load(&path).unwrap();
+        hostile_cache().save(&path).unwrap();
+        let eager = ResultCache::load_strict(&path).unwrap();
         let keys: Vec<String> = eager.keys().map(str::to_owned).collect();
         let metrics = Metrics::enabled();
         let decoded = || {
@@ -2115,10 +1632,7 @@ mod tests {
         );
         assert!(lazy.entries.is_empty(), "the overlay holds inserts only");
         assert_eq!(lazy.len(), len);
-        assert!(
-            !lazy.needs_save(CacheFormat::V2),
-            "an all-hit pass changes nothing"
-        );
+        assert!(!lazy.needs_save(), "an all-hit pass changes nothing");
 
         // A caller that re-reads cells asks for each record to decode once.
         let metrics = Metrics::enabled();
@@ -2134,7 +1648,7 @@ mod tests {
             Some(keys.len() as u64)
         );
         assert_eq!(kept.hits(), 2 * keys.len());
-        assert!(!kept.needs_save(CacheFormat::V2));
+        assert!(!kept.needs_save());
         fs::remove_file(path).unwrap();
     }
 
@@ -2142,13 +1656,13 @@ mod tests {
     fn v2_save_load_round_trips_in_both_readers() {
         let path = temp_path("v2-roundtrip.cache");
         let cache = hostile_cache();
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        cache.save(&path).unwrap();
         assert!(
             fs::read(&path).unwrap().starts_with(V2_MAGIC),
             "v2 files carry the sniffable magic"
         );
         for loaded in [
-            ResultCache::load(&path).unwrap(),
+            ResultCache::load_lazy(&path).unwrap(),
             ResultCache::load_strict(&path).unwrap(),
         ] {
             assert_eq!(loaded.len(), cache.len());
@@ -2157,37 +1671,6 @@ mod tests {
             }
         }
         fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn v1_v2_v1_conversion_is_byte_identical() {
-        let (p1, p2, p3) = (
-            temp_path("convert-a.cache"),
-            temp_path("convert-b.cache"),
-            temp_path("convert-c.cache"),
-        );
-        let cache = hostile_cache();
-        cache.save_as(&p1, CacheFormat::V1).unwrap();
-        ResultCache::load_strict(&p1)
-            .unwrap()
-            .save_as(&p2, CacheFormat::V2)
-            .unwrap();
-        ResultCache::load_strict(&p2)
-            .unwrap()
-            .save_as(&p3, CacheFormat::V1)
-            .unwrap();
-        assert_eq!(
-            fs::read(&p1).unwrap(),
-            fs::read(&p3).unwrap(),
-            "v1 → v2 → v1 must reproduce the original file bytes"
-        );
-        // And converting the same entries twice gives identical v2 bytes.
-        let p4 = temp_path("convert-d.cache");
-        cache.save_as(&p4, CacheFormat::V2).unwrap();
-        assert_eq!(fs::read(&p2).unwrap(), fs::read(&p4).unwrap());
-        for p in [p1, p2, p3, p4] {
-            fs::remove_file(p).unwrap();
-        }
     }
 
     #[test]
@@ -2202,7 +1685,7 @@ mod tests {
                 },
             );
         }
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        cache.save(&path).unwrap();
         let bytes = fs::read(&path).unwrap();
         // Keep the magic, the count and the first record only.
         let first_len = u32::from_le_bytes(
@@ -2212,7 +1695,7 @@ mod tests {
         ) as usize;
         fs::write(&path, &bytes[..V2_MAGIC.len() + 8 + 4 + first_len]).unwrap();
 
-        let lenient = ResultCache::load(&path).unwrap();
+        let lenient = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(lenient.len(), 1, "the intact prefix survives");
         assert!(lenient.contains_key("a"), "records sort by key");
         // Truncation tears off the record index entirely, so the strict
@@ -2228,14 +1711,15 @@ mod tests {
     #[test]
     fn v2_strict_load_verifies_the_record_index() {
         let path = temp_path("v2-bad-index.cache");
-        hostile_cache().save_as(&path, CacheFormat::V2).unwrap();
+        hostile_cache().save(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        // The records themselves are intact: the lenient reader (which
-        // never consults the index) still loads everything.
+        // The records themselves are intact: the lenient reader falls
+        // back to the record scan (which never consults the index) and
+        // still loads everything.
         assert_eq!(
-            ResultCache::load(&path).unwrap().len(),
+            ResultCache::load_lazy(&path).unwrap().len(),
             hostile_cache().len()
         );
         match ResultCache::load_strict(&path).unwrap_err() {
@@ -2245,15 +1729,6 @@ mod tests {
             other => panic!("expected malformed index, got {other}"),
         }
         fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn cache_format_flags_round_trip() {
-        for format in [CacheFormat::V1, CacheFormat::V2] {
-            assert_eq!(CacheFormat::parse_flag(format.flag()), Some(format));
-        }
-        assert_eq!(CacheFormat::parse_flag("v3"), None);
-        assert_eq!(CacheFormat::default(), CacheFormat::V2);
     }
 
     #[test]
@@ -2308,7 +1783,7 @@ mod tests {
 
         // The stream doubles as a lenient warm file but is rejected by
         // the strict interchange reader (no index — scratch only).
-        let lenient = ResultCache::load(&path).unwrap();
+        let lenient = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(lenient.len(), 3);
         assert!(ResultCache::load_strict(&path).is_err());
         fs::remove_file(path).unwrap();
@@ -2337,7 +1812,7 @@ mod tests {
         let poll = reader.poll().unwrap();
         assert!(poll.records.is_empty() && !poll.damaged);
 
-        let lenient = ResultCache::load(&path).unwrap();
+        let lenient = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(lenient.len(), 2, "count covers only committed records");
         fs::remove_file(path).unwrap();
     }

@@ -61,7 +61,7 @@ mod view;
 
 pub use cache::{
     CacheAppender, CacheConflict, CacheFileError, CacheFormat, FlushPoll, FlushReader, MergeStats,
-    ResultCache,
+    ResultCache, CACHE_HEADER,
 };
 pub use view::CacheView;
 // The instrumentation layer, re-exported so downstream crates (refine,

@@ -13,16 +13,17 @@
 //! proportional to the work actually requested instead of the cache
 //! size: a fully-warm exploration that only *plans* against the cache
 //! touches the index alone, and a fully-warm run decodes one outcome
-//! per hit. v2 is the default cache encoding, so this is the read path
-//! of every default `--cache` re-run.
+//! per hit. v2 is the only cache encoding, so this is the read path of
+//! every `--cache` re-run.
 //!
-//! The validation performed by [`CacheView::open`] is deliberately the
-//! same as the strict loader's structural pass (they share the crate's
-//! `validate_v2`): a view is only ever constructed over a file whose
-//! index provably describes its records. Consequently an unmodified
-//! view can be re-saved *verbatim* — byte-for-byte — without decoding,
-//! which [`ResultCache::save_as`](crate::ResultCache::save_as) exploits
-//! for warm-run re-saves.
+//! The validation performed by [`CacheView::open`] is the strict
+//! loader's structural pass ([`ResultCache::load_strict`](crate::ResultCache::load_strict)
+//! opens a view, then decodes every record): a view is only ever
+//! constructed over a file whose index provably describes its records.
+//! Consequently an unmodified view can be re-saved *verbatim* —
+//! byte-for-byte — without decoding, which
+//! [`ResultCache::save`](crate::ResultCache::save) exploits for warm-run
+//! re-saves.
 
 use std::fmt;
 use std::fs;
@@ -49,6 +50,13 @@ fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
 pub(crate) fn record_body(bytes: &[u8], offset: usize) -> &[u8] {
     let len = u32_at(bytes, offset).expect("validated record offset") as usize;
     &bytes[offset + 4..offset + 4 + len]
+}
+
+/// The first line of a file, rendered lossily: how a refused file's
+/// header is attributed.
+pub(crate) fn header_line(bytes: &[u8]) -> String {
+    let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+    String::from_utf8_lossy(first).into_owned()
 }
 
 /// The raw key bytes of a record body (`u32 length + UTF-8`), if the
@@ -147,7 +155,7 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
 /// validated record index. See the module docs for the contract.
 ///
 /// ```
-/// use memstream_grid::{CacheFormat, CacheView, ResultCache};
+/// use memstream_grid::{CacheView, ResultCache};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dir = std::env::temp_dir().join(format!("memstream-view-doc-{}", std::process::id()));
@@ -157,7 +165,7 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
 /// cache.insert("cell-a".into(), memstream_grid::CellOutcome::Unmodelled {
 ///     detail: "doc".into(),
 /// });
-/// cache.save_as(&path, CacheFormat::V2)?;
+/// cache.save(&path)?;
 ///
 /// let view = CacheView::open(&path)?;
 /// assert_eq!(view.len(), 1);
@@ -196,9 +204,8 @@ impl CacheView {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
         let bytes = fs::read(path)?;
         if !bytes.starts_with(V2_MAGIC) {
-            let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
             return Err(CacheFileError::VersionMismatch {
-                found: String::from_utf8_lossy(first).into_owned(),
+                found: header_line(&bytes),
             });
         }
         let offsets = validate_v2(&bytes)?;
@@ -279,7 +286,7 @@ impl CacheView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheFormat, ResultCache};
+    use crate::cache::ResultCache;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir =
@@ -305,7 +312,7 @@ mod tests {
     fn view_probes_and_decodes_match_the_eager_map() {
         let path = temp_path("view-basic.cache");
         let cache = fixture(&["alpha", "beta", "gamma"]);
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        cache.save(&path).unwrap();
         let view = CacheView::open(&path).unwrap();
         assert_eq!(view.len(), 3);
         assert_eq!(view.keys().collect::<Vec<_>>(), ["alpha", "beta", "gamma"]);
@@ -321,7 +328,7 @@ mod tests {
     #[test]
     fn open_rejects_v1_and_missing_files() {
         let path = temp_path("view-v1.cache");
-        fixture(&["a"]).save_as(&path, CacheFormat::V1).unwrap();
+        fs::write(&path, "memstream-grid-cache v1 k2\na\tU\tdetail a\n").unwrap();
         assert!(matches!(
             CacheView::open(&path).unwrap_err(),
             CacheFileError::VersionMismatch { .. }
@@ -338,9 +345,7 @@ mod tests {
         // Truncating mid-index leaves intact records but a trailer that
         // can no longer describe an index of `count` entries.
         let path = temp_path("view-torn-index.cache");
-        fixture(&["a", "b", "c"])
-            .save_as(&path, CacheFormat::V2)
-            .unwrap();
+        fixture(&["a", "b", "c"]).save(&path).unwrap();
         let bytes = fs::read(&path).unwrap();
         let torn = &bytes[..bytes.len() - 12]; // lose the trailer + part of the index
         fs::write(&path, torn).unwrap();
@@ -356,9 +361,7 @@ mod tests {
     #[test]
     fn index_entry_past_eof_is_attributed_by_byte_offset() {
         let path = temp_path("view-index-past-eof.cache");
-        fixture(&["a", "b", "c"])
-            .save_as(&path, CacheFormat::V2)
-            .unwrap();
+        fixture(&["a", "b", "c"]).save(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // Patch the second index entry to point far past the end.
         let trailer_pos = bytes.len() - 8;
@@ -384,8 +387,8 @@ mod tests {
         let a = fixture(&["aa"]);
         let b = fixture(&["bb"]);
         let (pa, pb) = (temp_path("view-unsorted-a"), temp_path("view-unsorted-b"));
-        a.save_as(&pa, CacheFormat::V2).unwrap();
-        b.save_as(&pb, CacheFormat::V2).unwrap();
+        a.save(&pa).unwrap();
+        b.save(&pb).unwrap();
         let (ba, bb) = (fs::read(&pa).unwrap(), fs::read(&pb).unwrap());
         let record = |bytes: &[u8]| {
             let start = V2_MAGIC.len() + 8;
@@ -418,7 +421,7 @@ mod tests {
     #[test]
     fn empty_v2_file_is_a_valid_empty_view() {
         let path = temp_path("view-empty.cache");
-        ResultCache::new().save_as(&path, CacheFormat::V2).unwrap();
+        ResultCache::new().save(&path).unwrap();
         let view = CacheView::open(&path).unwrap();
         assert!(view.is_empty());
         assert!(!view.contains_key("anything"));

@@ -1,13 +1,13 @@
 //! The key-compatibility acceptance suite: interned [`CellKey`]s must
 //! resolve to the legacy [`ScenarioGrid::dedup_key`] bytes for every
-//! cell (old v1 cache files stay warm across the interner migration),
-//! and cache files must convert v1 → v2 → v1 without a byte of drift.
+//! cell (cache files keyed by `dedup_key` stay warm under the interner),
+//! and a warm exploration from a saved cache file must reproduce the
+//! cold run's bytes.
 
 use memstream_core::DesignGoal;
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice};
 use memstream_grid::{
-    CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid,
-    WorkloadProfile,
+    DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid, WorkloadProfile,
 };
 
 /// A per-process temp path (concurrent `cargo test` runs share the OS
@@ -85,45 +85,6 @@ fn interner_resolved_keys_hit_caches_written_with_legacy_keys() {
 }
 
 #[test]
-fn cache_conversion_v1_v2_v1_is_byte_identical() {
-    let grid = flash_grid(6);
-    let mut cache = ResultCache::new();
-    GridExecutor::serial()
-        .explore_cached(&grid, &mut cache)
-        .expect("explore");
-    // Hostile entries: keys and details carrying every escaped byte.
-    cache.insert(
-        "hostile\tkey\nwith\\everything".to_owned(),
-        CellOutcome::Unmodelled {
-            detail: "tab\t newline\n backslash\\ done".to_owned(),
-        },
-    );
-
-    let (v1_a, v2, v1_b) = (
-        temp_path("conv-1.cache"),
-        temp_path("conv-2.cache"),
-        temp_path("conv-3.cache"),
-    );
-    cache.save_as(&v1_a, CacheFormat::V1).expect("save v1");
-    ResultCache::load_strict(&v1_a)
-        .expect("strict v1 load")
-        .save_as(&v2, CacheFormat::V2)
-        .expect("save v2");
-    ResultCache::load_strict(&v2)
-        .expect("strict v2 load")
-        .save_as(&v1_b, CacheFormat::V1)
-        .expect("save v1 again");
-    assert_eq!(
-        std::fs::read(&v1_a).expect("read"),
-        std::fs::read(&v1_b).expect("read"),
-        "v1 → v2 → v1 conversion must be lossless to the byte"
-    );
-    for p in [v1_a, v2, v1_b] {
-        std::fs::remove_file(p).expect("cleanup");
-    }
-}
-
-#[test]
 fn warm_explorations_are_byte_identical_across_cache_formats() {
     let grid = ScenarioGrid::paper_baseline(7);
     let mut cold_cache = ResultCache::new();
@@ -132,25 +93,17 @@ fn warm_explorations_are_byte_identical_across_cache_formats() {
         .expect("cold explore");
     let reference = memstream_grid::report::cells_csv(&cold);
 
-    for format in [CacheFormat::V1, CacheFormat::V2] {
-        let path = temp_path(&format!("warm-{}.cache", format.flag()));
-        cold_cache.save_as(&path, format).expect("save");
-        let mut warm_cache = ResultCache::load(&path).expect("load");
-        let warm = GridExecutor::parallel(3)
-            .explore_cached(&grid, &mut warm_cache)
-            .expect("warm explore");
-        assert_eq!(
-            warm_cache.misses(),
-            0,
-            "{} cache must be fully warm",
-            format.flag()
-        );
-        assert_eq!(
-            memstream_grid::report::cells_csv(&warm),
-            reference,
-            "{} warm run must reproduce the cold bytes",
-            format.flag()
-        );
-        std::fs::remove_file(path).expect("cleanup");
-    }
+    let path = temp_path("warm.cache");
+    cold_cache.save(&path).expect("save");
+    let mut warm_cache = ResultCache::load_lazy(&path).expect("load");
+    let warm = GridExecutor::parallel(3)
+        .explore_cached(&grid, &mut warm_cache)
+        .expect("warm explore");
+    assert_eq!(warm_cache.misses(), 0, "the cache must be fully warm");
+    assert_eq!(
+        memstream_grid::report::cells_csv(&warm),
+        reference,
+        "the warm run must reproduce the cold bytes"
+    );
+    std::fs::remove_file(path).expect("cleanup");
 }

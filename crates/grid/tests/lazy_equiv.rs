@@ -1,8 +1,7 @@
 //! Property equivalences for the warm-path machinery: the lazy
-//! [`CacheView`] must answer exactly like an eager load, the parallel
-//! k-way merge must be byte-for-byte the serial merge, and the
-//! sort-and-sweep frontier must survive exactly the batch non-domination
-//! scan. Each property runs over arbitrary subsets of a real explored
+//! [`CacheView`] must answer exactly like the strict reader's eager
+//! decode, and the sort-and-sweep frontier must survive exactly the
+//! batch non-domination scan. Each property runs over arbitrary subsets of a real explored
 //! corpus, so every outcome variant the models actually produce is
 //! exercised — not just hand-built fixtures.
 
@@ -11,8 +10,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use memstream_grid::{
-    non_dominated, CacheFormat, CacheView, CellOutcome, FrontierBuilder, GridExecutor, ResultCache,
-    ScenarioGrid,
+    non_dominated, CacheView, CellOutcome, FrontierBuilder, GridExecutor, ResultCache, ScenarioGrid,
 };
 use proptest::prelude::*;
 
@@ -74,32 +72,28 @@ fn next_case() -> u64 {
 proptest! {
     /// Every lookup against the lazy view — `get`, `contains_key`, and
     /// the `load_lazy` cache built over it — answers exactly like the
-    /// eager load of the same file, for hits and misses alike.
+    /// strict reader's eager decode of the same file, for hits and
+    /// misses alike.
     #[test]
     fn lazy_view_answers_match_the_eager_load(
         picks in prop::collection::vec(0usize..1_000_000, 1..40)
     ) {
         let entries = select(&picks);
         let path = temp_path("view", next_case());
-        cache_of(&entries).save_as(&path, CacheFormat::V2).expect("save v2");
+        cache_of(&entries).save(&path).expect("save");
 
-        let eager = ResultCache::load(&path).expect("eager load");
+        let eager = ResultCache::load_strict(&path).expect("strict load");
         let lazy = ResultCache::load_lazy(&path).expect("lazy load");
         let view = CacheView::open(&path).expect("view opens");
-        // An explicitly parallel decode (below the auto threshold, so
-        // the partitioned path must be forced) agrees entry for entry.
-        let parallel = ResultCache::load_with_workers(&path, 3).expect("parallel load");
 
         prop_assert_eq!(eager.len(), entries.len());
         prop_assert_eq!(lazy.len(), entries.len());
         prop_assert_eq!(view.len(), entries.len());
-        prop_assert_eq!(parallel.len(), entries.len());
         // Probe the *whole* corpus: selected keys are hits, the rest
         // must miss identically in all three readers.
         for (key, _) in corpus() {
             prop_assert_eq!(eager.get(key), view.get(key));
             prop_assert_eq!(eager.get(key), lazy.get(key));
-            prop_assert_eq!(eager.get(key), parallel.get(key));
             prop_assert_eq!(eager.contains_key(key), view.contains_key(key));
             prop_assert_eq!(eager.contains_key(key), lazy.contains_key(key));
         }
@@ -110,73 +104,6 @@ proptest! {
             prop_assert_eq!(got.as_ref(), Some(outcome));
         }
         std::fs::remove_file(path).ok();
-    }
-
-    /// The index-partitioned parallel merge is the serial merge: same
-    /// stats, and the merged caches save to byte-identical files for
-    /// any worker count.
-    #[test]
-    fn parallel_merge_is_byte_identical_to_serial(
-        ours in prop::collection::vec(0usize..1_000_000, 0..30),
-        theirs in prop::collection::vec(0usize..1_000_000, 1..30),
-        workers in 2usize..6,
-    ) {
-        let ours = select(&ours);
-        let theirs = cache_of(&select(&theirs));
-
-        let mut serial = cache_of(&ours);
-        let mut parallel = cache_of(&ours);
-        let serial_stats = serial.merge_with_workers(&theirs, 1).expect("no conflicts");
-        let parallel_stats = parallel
-            .merge_with_workers(&theirs, workers)
-            .expect("no conflicts");
-        prop_assert_eq!(serial_stats, parallel_stats);
-        prop_assert_eq!(serial.len(), parallel.len());
-
-        let case = next_case();
-        let serial_path = temp_path("merge-serial", case);
-        let parallel_path = temp_path("merge-parallel", case);
-        serial.save_as(&serial_path, CacheFormat::V2).expect("save");
-        parallel.save_as(&parallel_path, CacheFormat::V2).expect("save");
-        let serial_bytes = std::fs::read(&serial_path).expect("read");
-        let parallel_bytes = std::fs::read(&parallel_path).expect("read");
-        prop_assert_eq!(serial_bytes, parallel_bytes);
-        std::fs::remove_file(serial_path).ok();
-        std::fs::remove_file(parallel_path).ok();
-    }
-
-    /// A conflicting key is reported identically — same attributed key,
-    /// same encoded entries — whether the detect pass runs on one
-    /// thread or several, and the target cache is untouched either way.
-    #[test]
-    fn parallel_merge_attributes_the_same_conflict_as_serial(
-        ours in prop::collection::vec(0usize..1_000_000, 0..20),
-        poison in 0usize..1_000_000,
-        workers in 2usize..6,
-    ) {
-        let corpus = corpus();
-        let (poison_key, genuine) = &corpus[poison % corpus.len()];
-        let mut entries = select(&ours);
-        entries.insert(
-            poison_key.clone(),
-            CellOutcome::Unmodelled { detail: "poisoned for the conflict test".to_owned() },
-        );
-        prop_assume!(entries[poison_key.as_str()] != *genuine);
-
-        let mut theirs = ResultCache::new();
-        theirs.insert(poison_key.clone(), genuine.clone());
-
-        let mut serial = cache_of(&entries);
-        let mut parallel = cache_of(&entries);
-        let len_before = parallel.len();
-        let serial_err = serial.merge_with_workers(&theirs, 1).expect_err("conflict");
-        let parallel_err = parallel
-            .merge_with_workers(&theirs, workers)
-            .expect_err("conflict");
-        prop_assert_eq!(&serial_err.key, poison_key);
-        prop_assert_eq!(serial_err, parallel_err);
-        // A failed merge mutates nothing.
-        prop_assert_eq!(parallel.len(), len_before);
     }
 
     /// The frontier builder's sort-and-sweep keeps exactly the batch

@@ -1,7 +1,7 @@
 //! Acceptance tests for the refinement loop: knee localisation, thread
 //! determinism, and cache-backed incrementality.
 
-use memstream_grid::{CacheFormat, GridExecutor, Metrics, ResultCache, ScenarioGrid};
+use memstream_grid::{GridExecutor, Metrics, ResultCache, ScenarioGrid};
 use memstream_refine::{report, RefineConfig, RefinementEngine};
 
 fn engine(threads: usize, bound: f64) -> RefinementEngine {
@@ -152,7 +152,7 @@ fn a_warm_run_over_a_lazy_v2_cache_decodes_each_record_once() {
         "memstream-refine-lazy-{}.cache",
         std::process::id()
     ));
-    cache.save_as(&path, CacheFormat::V2).expect("save v2");
+    cache.save(&path).expect("save");
 
     // Later rounds re-assemble the grown grid, so cells are looked up
     // again; each record still decodes once.

@@ -3,8 +3,8 @@
 //! [`explore_sharded`] is one fan-out. The grid's canonical deduplicated
 //! cell range is split into small lease chunks owned by a
 //! [`LeaseQueue`]; one worker process per shard is spawned (a re-exec of
-//! the current binary's `shard-worker` subcommand with `--lease`,
-//! stdin/stdout/stderr all piped), and a per-child **collector thread**
+//! the current binary's `shard-worker` subcommand, stdin/stdout/stderr
+//! all piped), and a per-child **collector thread**
 //! speaks the lease protocol with it: `lease-request` lines on the
 //! worker's stderr are answered with `lease-grant`/`lease-retire` lines
 //! on its stdin, `lease-done` lines trigger a poll of the worker's
@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
-use memstream_grid::{CacheFormat, FlushReader, GridError, MergeStats, Metrics, ResultCache};
+use memstream_grid::{FlushReader, GridError, MergeStats, Metrics, ResultCache};
 
 use crate::fault::FaultPlan;
 use crate::lease::{LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
@@ -48,9 +48,9 @@ use crate::recipe::GridRecipe;
 /// The contiguous slice of a `len`-element canonical cell range owned by
 /// shard `index` of `count`: `len*i/N .. len*(i+1)/N`. Slices partition
 /// the range (no gaps, no overlap) and differ in length by at most one.
-/// (The lease scheduler supersedes static slices for scheduling; this
-/// stays as the reference partition shape and the static-mode worker's
-/// contract.)
+/// (The lease scheduler, not this partition, decides which worker
+/// evaluates which cells; this stays as the reference partition shape
+/// the lease properties are checked against.)
 ///
 /// # Panics
 ///
@@ -272,10 +272,6 @@ pub struct ShardOptions {
     /// `shard.lease_wait` histogram — see `docs/OBSERVABILITY.md`).
     /// Disabled by default.
     pub metrics: Metrics,
-    /// Encoding of the warm cache file the coordinator ships to workers.
-    /// (Workers' flush streams are always the v2 binary framing —
-    /// [`memstream_grid::CacheAppender`] — regardless of this setting.)
-    pub cache_format: CacheFormat,
     /// Whether workers are asked to record a timeline trace. Each worker
     /// writes a Chrome-trace fragment into the scratch directory; the
     /// coordinator reads the fragments back into
@@ -312,7 +308,6 @@ impl ShardOptions {
             program,
             leading_args: vec!["shard-worker".to_owned()],
             metrics: Metrics::disabled(),
-            cache_format: CacheFormat::default(),
             trace: false,
             lease_cells: 0,
             lease_deadline: Duration::from_secs(30),
@@ -331,13 +326,6 @@ impl ShardOptions {
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.metrics = metrics.clone();
-        self
-    }
-
-    /// Sets the encoding of the fan-out's warm cache file.
-    #[must_use]
-    pub fn with_cache_format(mut self, format: CacheFormat) -> Self {
-        self.cache_format = format;
         self
     }
 
@@ -904,9 +892,7 @@ pub fn explore_sharded(
         None
     } else {
         let path = scratch.join("warm.cache");
-        cache
-            .save_as(&path, opts.cache_format)
-            .map_err(ShardError::Scratch)?;
+        cache.save(&path).map_err(ShardError::Scratch)?;
         Some(path)
     };
 
@@ -953,8 +939,6 @@ pub fn explore_sharded(
             trace: opts
                 .trace
                 .then(|| scratch.join(format!("shard-{index}.trace.json"))),
-            cache_format: opts.cache_format,
-            lease: true,
             fault: opts
                 .fault_plans
                 .iter()
@@ -1229,7 +1213,6 @@ mod tests {
             program: PathBuf::from("/bin/sh"),
             leading_args: vec!["-c".to_owned(), script.to_owned(), "fake-worker".to_owned()],
             metrics: Metrics::disabled(),
-            cache_format: CacheFormat::V1,
             trace: false,
             lease_cells: 0,
             lease_deadline: Duration::from_secs(30),

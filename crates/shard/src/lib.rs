@@ -4,8 +4,8 @@
 //! One process already explores a grid on every core with byte-stable
 //! output; the next scale step is **many processes** (and eventually many
 //! hosts). This crate adds exactly that, without inventing a new wire
-//! format: the versioned [`memstream_grid::ResultCache`] TSV file —
-//! until now a warm-start convenience — *is* the distribution protocol
+//! format: the v2 records of the [`memstream_grid::ResultCache`] file —
+//! until now a warm-start convenience — *are* the distribution protocol
 //! (spec: `docs/CACHE_FORMAT.md`).
 //!
 //! The model is coordinator/worker with a leased work queue
@@ -18,8 +18,7 @@
 //!    [`LeaseQueue`]; the chunk layout depends on the grid alone, never
 //!    on cache temperature.
 //! 2. **Fan out** — workers are spawned processes (a re-exec of the
-//!    harness: `harness shard-worker --shard i/N --lease --cache PATH
-//!    ...`). Each worker asks for work over its **stderr** side-channel
+//!    harness: `harness shard-worker --shard i/N --cache PATH ...`). Each worker asks for work over its **stderr** side-channel
 //!    (`lease-request`), receives grants over **stdin**
 //!    (`lease-grant a..b`), evaluates the granted cells and **flushes
 //!    completed records incrementally** to its per-worker scratch file

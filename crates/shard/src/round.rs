@@ -149,7 +149,6 @@ mod tests {
                 program: std::path::PathBuf::from("/bin/sh"),
                 leading_args: vec!["-c".to_owned(), "exit 3".to_owned(), "w".to_owned()],
                 metrics: memstream_grid::Metrics::disabled(),
-                cache_format: memstream_grid::CacheFormat::V1,
                 trace: false,
                 lease_cells: 0,
                 lease_deadline: std::time::Duration::from_secs(30),

@@ -2,20 +2,14 @@
 //! cell range and emit them as cache records.
 //!
 //! A worker is deliberately dumb; all scheduling, merging and failure
-//! policy live in the coordinator. It runs in one of two modes:
+//! policy live in the coordinator. It repeatedly asks the coordinator
+//! for a cell-range lease over the stderr/stdin line protocol, resolves
+//! the granted cells, **flushes** the freshly evaluated records to the
+//! output path incrementally ([`CacheAppender`]) and announces
+//! `lease-done` — so a worker that dies mid-run has still delivered
+//! every lease it completed.
 //!
-//! - **Static** (`lease: false`, the legacy path): slice the `i/N`
-//!   range, resolve it, write exactly that slice as one versioned
-//!   [`ResultCache`] file at exit.
-//! - **Leased** (`lease: true`): repeatedly ask the coordinator for a
-//!   cell-range lease over the stderr/stdin line protocol, resolve the
-//!   granted cells, **flush** the freshly evaluated records to the
-//!   output path incrementally ([`CacheAppender`]) and announce
-//!   `lease-done` — so a worker that dies mid-run has still delivered
-//!   every lease it completed.
-//!
-//! A [`FaultPlan`] makes a lease-mode worker misbehave at a
-//! deterministic point; the fault-injection suite drives it to prove the
+//! A [`FaultPlan`] makes a worker misbehave at a deterministic point; the fault-injection suite drives it to prove the
 //! coordinator's recovery machinery preserves byte-identity.
 
 use std::io::{self, BufRead, Write};
@@ -23,16 +17,14 @@ use std::time::Duration;
 
 use memstream_grid::{CacheAppender, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
 
-use crate::coordinator::shard_range;
 use crate::fault::FaultPlan;
 use crate::protocol::{
     format_lease_done, format_lease_request, format_progress, parse_lease_reply, LeaseReply,
     WorkerSpec,
 };
 
-/// How many heartbeat chunks a worker splits its work into. In static
-/// mode this is chunks per slice; in lease mode it is flush batches per
-/// lease. Each chunk is one `resolve_cells` pass, so more chunks mean
+/// How many flush batches a worker splits each lease into, one
+/// heartbeat each. Each batch is one `resolve_cells` pass, so more chunks mean
 /// finer-grained liveness at the cost of re-planning series across chunk
 /// boundaries; four keeps that overhead marginal while a stuck worker is
 /// still spotted within a quarter of its work.
@@ -46,8 +38,7 @@ const FAULT_EXIT: i32 = 86;
 /// What one worker run did (the numbers the harness prints to stderr).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// Cells assigned to this worker: the static slice, or the union of
-    /// completed leases.
+    /// Cells assigned to this worker: the union of its completed leases.
     pub assigned: usize,
     /// Cells resolved from the warm cache without evaluation.
     pub warm_hits: usize,
@@ -55,14 +46,13 @@ pub struct WorkerSummary {
     pub evaluated: usize,
 }
 
-/// Runs one shard worker to completion (see module docs for the two
-/// modes). Lease-mode workers talk to the coordinator over this
-/// process's real stdin/stderr.
+/// Runs one shard worker to completion (see module docs), talking to the
+/// coordinator over this process's real stdin/stderr.
 ///
 /// # Errors
 ///
-/// I/O errors from the cache files or, in lease mode, a coordinator
-/// reply that is not part of the protocol.
+/// I/O errors from the cache files, or a coordinator reply that is not
+/// part of the protocol.
 pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
     run_worker_with_metrics(spec, &Metrics::disabled())
 }
@@ -72,8 +62,7 @@ pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
 /// `shard-worker --stats` path). Telemetry never changes the records a
 /// worker writes.
 ///
-/// In both modes the worker emits machine-parseable heartbeat lines on
-/// **stderr** (`shard-progress i/N: cells_done/cells_total`, see
+/// The worker emits machine-parseable heartbeat lines on **stderr** (`shard-progress i/N: cells_done/cells_total`, see
 /// [`format_progress`]). The coordinator consumes these lines into its
 /// aggregated progress display instead of forwarding them; stdout is
 /// untouched, so the byte-identity contract holds.
@@ -82,57 +71,10 @@ pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
 ///
 /// As [`run_worker`].
 pub fn run_worker_with_metrics(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<WorkerSummary> {
-    if spec.lease {
-        let stdin = io::stdin();
-        let mut replies = stdin.lock();
-        let mut control = io::stderr().lock();
-        run_lease_worker(spec, metrics, &mut replies, &mut control)
-    } else {
-        run_static_worker(spec, metrics)
-    }
-}
-
-/// The legacy static path: resolve the fixed `i/N` slice, save it as one
-/// strict-loadable cache file at exit.
-fn run_static_worker(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<WorkerSummary> {
-    let grid = spec.recipe.build();
-    let unique = grid.unique_cells();
-    let cells = &unique[shard_range(unique.len(), spec.shard, spec.shard_count)];
-
-    let mut working = load_warm(spec)?;
-    working.set_metrics(metrics);
-    let executor = GridExecutor::parallel(spec.threads).with_metrics(metrics);
-    let chunk_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
-    let mut done = 0usize;
-    if cells.is_empty() {
-        eprintln!("{}", format_progress(spec.shard, spec.shard_count, 0, 0));
-    }
-    for chunk in cells.chunks(chunk_size) {
-        executor.resolve_cells(&grid, chunk, &mut working);
-        done += chunk.len();
-        eprintln!(
-            "{}",
-            format_progress(spec.shard, spec.shard_count, done, cells.len())
-        );
-    }
-
-    let interner = KeyInterner::new(&grid);
-    let mut slice = ResultCache::new();
-    slice.set_metrics(metrics);
-    for cell in cells {
-        let key = interner.resolve(interner.key(cell));
-        let outcome = working
-            .get(&key)
-            .expect("resolve_cells covered every assigned cell");
-        slice.insert(key, outcome);
-    }
-    slice.save_as(&spec.cache, spec.cache_format)?;
-
-    Ok(WorkerSummary {
-        assigned: cells.len(),
-        warm_hits: working.hits(),
-        evaluated: working.misses(),
-    })
+    let stdin = io::stdin();
+    let mut replies = stdin.lock();
+    let mut control = io::stderr().lock();
+    run_lease_worker(spec, metrics, &mut replies, &mut control)
 }
 
 /// The lease loop, factored over abstract reply/control streams so the
@@ -295,8 +237,7 @@ fn run_lease_worker(
 
 /// Lenient warm load: a stale or truncated warm file costs
 /// re-evaluation, never correctness. (The coordinator reads *our*
-/// output with the strict reader or the flush reader — those are the
-/// wire format.) Lazy: a v2 warm file is indexed, not decoded — warm
+/// output with the flush reader — that is the wire format.) Lazy: a v2 warm file is indexed, not decoded — warm
 /// planning probes the index and only the cells this worker actually
 /// touches are ever decoded.
 fn load_warm(spec: &WorkerSpec) -> io::Result<ResultCache> {
@@ -317,9 +258,10 @@ fn append_raw(spec: &WorkerSpec, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::shard_range;
     use crate::protocol::{format_lease_reply, parse_lease_done, parse_lease_request};
     use crate::recipe::GridRecipe;
-    use memstream_grid::{CacheFormat, FlushReader};
+    use memstream_grid::FlushReader;
     use std::io::Cursor;
     use std::path::PathBuf;
 
@@ -342,8 +284,6 @@ mod tests {
             stats: false,
             stats_json: None,
             trace: None,
-            cache_format: CacheFormat::V2,
-            lease: true,
             fault: None,
             recipe,
         }
@@ -351,37 +291,34 @@ mod tests {
 
     #[test]
     fn worker_emits_exactly_its_slice() {
+        // A worker flushes exactly the cells it was granted: none outside
+        // the grant, none missing inside it.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
         let unique = grid.unique_cells();
-        let path = temp_path("slice.cache");
-        // v2 output: the strict reader below doubles as the coordinator's
-        // auto-detecting merge path.
-        let summary = run_worker(&WorkerSpec {
-            shard: 1,
-            shard_count: 3,
-            cache: path.clone(),
-            warm: None,
-            threads: 1,
-            stats: false,
-            stats_json: None,
-            trace: None,
-            cache_format: CacheFormat::V2,
-            lease: false,
-            fault: None,
-            recipe,
-        })
-        .expect("worker runs");
-
         let range = shard_range(unique.len(), 1, 3);
+        let path = temp_path("slice.cache");
+        let script = [
+            format_lease_reply(&LeaseReply::Grant(range.clone())),
+            format_lease_reply(&LeaseReply::Retire),
+        ]
+        .join("\n")
+            + "\n";
+        let mut replies = Cursor::new(script.into_bytes());
+        let mut control = Vec::new();
+        let spec = lease_spec(path.clone(), recipe);
+        let summary =
+            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control).unwrap();
         assert_eq!(summary.assigned, range.len());
         assert_eq!(summary.evaluated, range.len());
         assert_eq!(summary.warm_hits, 0);
 
-        let slice = ResultCache::load_strict(&path).expect("strict-readable output");
-        assert_eq!(slice.len(), range.len());
+        let poll = FlushReader::new(path.clone()).poll().unwrap();
+        assert!(!poll.damaged);
+        assert_eq!(poll.records.len(), range.len());
         for cell in &unique[range] {
-            assert!(slice.contains_key(&grid.dedup_key(cell)));
+            let key = grid.dedup_key(cell);
+            assert!(poll.records.iter().any(|(k, _)| *k == key), "{key} missing");
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -390,6 +327,7 @@ mod tests {
     fn warm_cells_are_not_re_evaluated() {
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
+        let len = grid.unique_cells().len();
         let warm_path = temp_path("warm.cache");
         let mut warm = ResultCache::new();
         GridExecutor::serial()
@@ -398,21 +336,19 @@ mod tests {
         warm.save(&warm_path).unwrap();
 
         let out = temp_path("warm-slice.cache");
-        let summary = run_worker(&WorkerSpec {
-            shard: 0,
-            shard_count: 2,
-            cache: out.clone(),
-            warm: Some(warm_path.clone()),
-            threads: 1,
-            stats: false,
-            stats_json: None,
-            trace: None,
-            cache_format: CacheFormat::V1,
-            lease: false,
-            fault: None,
-            recipe,
-        })
-        .expect("worker runs");
+        let script = [
+            format_lease_reply(&LeaseReply::Grant(shard_range(len, 0, 2))),
+            format_lease_reply(&LeaseReply::Retire),
+        ]
+        .join("\n")
+            + "\n";
+        let mut replies = Cursor::new(script.into_bytes());
+        let mut control = Vec::new();
+        let mut spec = lease_spec(out.clone(), recipe);
+        spec.warm = Some(warm_path.clone());
+        let summary =
+            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control).unwrap();
+        assert_eq!(summary.assigned, shard_range(len, 0, 2).len());
         assert_eq!(summary.evaluated, 0);
         assert_eq!(summary.warm_hits, summary.assigned);
         for p in [warm_path, out] {
@@ -477,7 +413,7 @@ mod tests {
             assert!(poll.records.iter().any(|(k, _)| *k == key), "{key} missing");
         }
         // The flush stream is also a lenient-loadable cache.
-        let loaded = ResultCache::load(&path).unwrap();
+        let loaded = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(loaded.len(), len);
         std::fs::remove_file(path).unwrap();
     }
