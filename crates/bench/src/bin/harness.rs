@@ -50,8 +50,8 @@
 //! table on stderr) and `--stats-json PATH` (snapshot as JSON), and —
 //! together with `bench` — `--trace PATH` (the run's timeline as a
 //! Chrome/Perfetto-loadable trace, shard worker events merged in); none
-//! of them ever changes stdout. `--cache` files use the binary v2
-//! encoding, which a warm run reads lazily; a file with another header
+//! of them ever changes stdout. `--cache` files use the series-columnar
+//! v3 encoding, which a warm run reads lazily; a file with another header
 //! is named on stderr and rewritten by the run (`docs/CACHE_FORMAT.md`).
 
 use memstream_bench::{
@@ -518,9 +518,9 @@ fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
 
 /// Loads the result cache at `path` under the `cache.load` span, exiting
 /// 2 on I/O errors (shared by the `grid` and `refine` subcommands). Lazy:
-/// a valid v2 file is indexed, not decoded — warm planning probes the
-/// index and each lookup hit decodes only its record's outcome
-/// (`cache.records_decoded`). A file with another header (an older key
+/// a valid v3 file is indexed, not decoded — warm planning probes the
+/// block index and rate columns, and each lookup hit decodes only its
+/// own row (`cache.records_decoded`). A file with another header (an older key
 /// generation or encoding) is named on stderr; the run starts cold and
 /// its save rewrites the file.
 fn load_cache(path: &str, metrics: &memstream_grid::Metrics) -> memstream_grid::ResultCache {

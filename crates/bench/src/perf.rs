@@ -183,7 +183,7 @@ pub struct BenchReport {
     /// Interned-key resolutions (`CellKey` → canonical string) per second.
     pub key_resolutions_per_sec: f64,
     /// Fully-warm planning probes per second against a lazily indexed
-    /// v2 cache (`contains_key` over every unique cell — the
+    /// v3 cache (a series-resolved probe of every unique cell — the
     /// coordinator's warm short-circuit path).
     pub lazy_warm_cells_per_sec: f64,
     /// Records the lazy warm-planning phase decoded. Asserted zero at
@@ -367,12 +367,13 @@ pub fn run_bench_traced(
     let key_reps = if config.quick { 100 } else { 400 };
 
     // Scenario 3: lazy warm planning — the coordinator's fully-warm
-    // short-circuit path. The cold run's cache is saved as v2, indexed
-    // lazily, and every unique cell is probed with `contains_key`:
-    // pure index binary searches. The phase *asserts* zero record
-    // decodes — that counter staying at zero is the whole point of the
-    // lazy reader, so a regression fails the bench instead of merely
-    // shifting a number.
+    // short-circuit path. The cold run's cache is saved as v3, indexed
+    // lazily, and every unique cell is probed: each series' block is
+    // resolved once per pass, then each cell's rate bits are
+    // binary-searched in it. The phase *asserts* zero row decodes —
+    // that counter staying at zero is the whole point of the lazy
+    // reader, so a regression fails the bench instead of merely shifting
+    // a number.
     let lazy_metrics = Metrics::enabled_with_tracer(tracer);
     let lazy_path = scratch.join("bench.lazy.cache");
     cache.save(&lazy_path)?;
@@ -383,9 +384,12 @@ pub fn run_bench_traced(
     let mut warm_answers = 0usize;
     let lazy_timer = lazy_metrics.span("bench.lazy_warm").start();
     for _ in 0..key_reps {
+        let series: Vec<_> = (0..interner.series_count())
+            .map(|s| lazy_cache.series(interner.series_token(s)))
+            .collect();
         for cell in &unique {
-            interner.resolve_into(interner.key(cell), &mut key_buf);
-            warm_answers += usize::from(lazy_cache.contains_key(&key_buf));
+            let held = series[interner.series_id(cell)].contains(interner.rate_bits(cell));
+            warm_answers += usize::from(held);
         }
     }
     drop(lazy_timer);

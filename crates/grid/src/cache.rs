@@ -1,33 +1,41 @@
 //! Cross-run result caching: persist evaluated cell outcomes keyed by
-//! [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key) so repeated
-//! explorations (CI re-runs, interactive sweeps) skip already-evaluated
-//! cells across process boundaries.
+//! series and rate so repeated explorations (CI re-runs, interactive
+//! sweeps) skip already-evaluated cells across process boundaries.
+//!
+//! A cache key is a pair: the **series token** — the cell's
+//! [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key) without
+//! its rate fragment, i.e. device, workload, goal and the grid-wide
+//! `dram`/`pol` suffix — and the rate's `f64` bits
+//! ([`KeyInterner::series_token`](crate::KeyInterner::series_token),
+//! [`KeyInterner::rate_bits`](crate::KeyInterner::rate_bits)).
 //!
 //! There is one on-disk encoding, specified in `docs/CACHE_FORMAT.md` at
-//! the repository root: `memstream-grid-cache v2 k2`, a length-prefixed
-//! binary record store with a sorted key index. Floats are raw IEEE-754
-//! bits, keys raw UTF-8; reading needs no float parsing or unescaping.
-//! A warm-cache exploration reproduces the cold run's reports
-//! **byte-identically** — the property the CI determinism smoke asserts.
+//! the repository root: `memstream-grid-cache v3 k2`, one column-wise
+//! block per series (the series token once, a sorted rate column, a
+//! fixed-width outcome column and a de-duplicated detail table) behind a
+//! block index. Floats are raw IEEE-754 bits, strings raw UTF-8; reading
+//! needs no float parsing or unescaping. A warm-cache exploration
+//! reproduces the cold run's reports **byte-identically** — the property
+//! the CI determinism smoke asserts.
 //!
 //! Two readers:
 //!
 //! * [`ResultCache::load_lazy`], the lenient warm-start reader, holds a
-//!   valid file as a [`CacheView`] and a hit decodes only that record's
-//!   outcome, in place. A file whose index is missing or damaged (a
-//!   shard flush stream, a torn write) keeps the records before the
-//!   first damage — they simply become cache misses — so damage never
+//!   valid file as a [`CacheView`]: a lookup resolves its series' block
+//!   once, binary-searches the rate column, and a hit decodes only that
+//!   row, in place. A file whose index is missing or damaged (a shard
+//!   flush stream, a torn write) keeps the blocks before the first
+//!   damage — their cells simply become cache misses — so damage never
 //!   poisons a run.
 //! * [`ResultCache::load_strict`], the validating interchange reader:
 //!   a file that is not intact is an attributed error, never a smaller
 //!   cache. Tests use it as the reference decode.
 //!
-//! The `k2` in the header is the key generation: keys are the canonical
-//! field encodings of [`ScenarioGrid::dedup_key`](crate::ScenarioGrid::dedup_key)
-//! (about 220 bytes; no Rust field or type names). A file with any other
-//! header — the first generation's bare `v1`/`v2` headers, the retired
-//! `memstream-grid-cache v1 k2` text encoding, another program's file —
-//! is refused whole: [`ResultCache::load_strict`] returns
+//! The `k2` in the header is the key generation: the canonical field
+//! encodings of the dedup key (no Rust field or type names). A file with
+//! any other header — the first generation's bare `v1`/`v2` headers, the
+//! retired `v1 k2` text and `v2 k2` record encodings, another program's
+//! file — is refused whole: [`ResultCache::load_strict`] returns
 //! [`CacheFileError::VersionMismatch`], and [`ResultCache::load_lazy`]
 //! starts empty and reports the header it found through
 //! [`ResultCache::stale_header`].
@@ -37,12 +45,14 @@
 //! merged in and the loader read the file back intact.
 //!
 //! The shard coordinator reassembles a sharded run by
-//! [`ResultCache::merge`]-union of the records it tails from the
-//! workers' flush streams ([`FlushReader`]); the union's conflict rule
-//! is byte-equality of the v2 record encoding (see
-//! `docs/CACHE_FORMAT.md` § "Union/merge semantics").
+//! [`ResultCache::merge`]-union of the blocks it tails from the workers'
+//! flush streams ([`FlushReader`]); the union's conflict rule is
+//! byte-equality of the outcome encoding (see `docs/CACHE_FORMAT.md`
+//! § "Union/merge semantics").
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -50,22 +60,26 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use memstream_core::Requirement;
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle};
-use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
 
-use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::view::{header_line, validate_v2, CacheView};
+use crate::block::{encode_block, entry_bytes, frame_at, outcome_bytes, Block, Frame};
+use crate::eval::CellOutcome;
+use crate::key::render_cache_key;
+use crate::view::{header_line, validate_v3, CacheView, ViewBlock};
 
 /// The header line every cache file starts with. The `k2` suffix names
 /// the key generation: the canonical field encoding of
 /// `docs/CACHE_FORMAT.md` § "Keys". Files with any other header are
 /// refused.
-pub const CACHE_HEADER: &str = "memstream-grid-cache v2 k2";
+pub const CACHE_HEADER: &str = "memstream-grid-cache v3 k2";
 /// The sniffable magic: the header line including its terminator.
-pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2 k2\n";
+pub(crate) const V3_MAGIC: &[u8] = b"memstream-grid-cache v3 k2\n";
 
-/// The encoding [`ResultCache::save_as`] writes. There is only one, v2,
+/// The `cache.lookup` histogram times one lookup in this many: two
+/// clock reads cost more than a warm hit itself (`docs/OBSERVABILITY.md`).
+const LOOKUP_SAMPLE_EVERY: usize = 64;
+
+/// The encoding [`ResultCache::save_as`] writes. There is only one, v3,
 /// and [`ResultCache::save`] writes it.
 ///
 /// This type and `save_as` stay only because the benchmark's replay
@@ -74,15 +88,15 @@ pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2 k2\n";
 /// benchmark. The next benchmark change drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
-    /// The length-prefixed binary format (`memstream-grid-cache v2 k2`).
+    /// The series-columnar block format (`memstream-grid-cache v3 k2`).
     #[default]
-    V2,
+    V3,
 }
 
 /// Why a strict cache read ([`ResultCache::load_strict`]) rejected a file.
 ///
 /// The lenient reader ([`ResultCache::load_lazy`]) maps every non-I/O
-/// failure below to "empty cache" or "records after the damage are
+/// failure below to "empty cache" or "blocks after the damage are
 /// dropped"; the strict reader exists for interchange, where silently
 /// dropping entries would shrink a result instead of merely slowing a
 /// warm start.
@@ -95,18 +109,17 @@ pub enum CacheFileError {
         /// The header line actually found (empty for an empty file).
         found: String,
     },
-    /// A record's key framing is broken or out of order, or its payload
-    /// fails to decode.
+    /// A block's structure is broken, its series token is out of order,
+    /// or one of its rows fails to decode.
     Malformed {
-        /// 1-based position of the offending record: `record ordinal +
-        /// 2`, counting the header as position 1.
-        line: usize,
+        /// 0-based ordinal of the offending block in file order.
+        block: usize,
     },
-    /// The v2 structure around the records — the count field, the
-    /// trailing record index, or the trailer — is damaged: truncated,
-    /// pointing outside the file, or disagreeing with the record
-    /// framing. Attributed by byte offset because this damage has no
-    /// meaningful record ordinal.
+    /// The structure around the blocks — the count field, the trailing
+    /// block index, or the trailer — is damaged: truncated, pointing
+    /// outside the file, or disagreeing with the block framing.
+    /// Attributed by byte offset because this damage has no meaningful
+    /// block ordinal.
     MalformedIndex {
         /// Byte offset of the damaged structure: the count field, the
         /// offending index entry, or the trailer.
@@ -122,13 +135,13 @@ impl fmt::Display for CacheFileError {
                 f,
                 "cache version mismatch: expected `{CACHE_HEADER}`, found `{found}`"
             ),
-            CacheFileError::Malformed { line } => {
-                write!(f, "cache file line {line} is not a valid entry")
+            CacheFileError::Malformed { block } => {
+                write!(f, "cache file block {block} is not a valid series block")
             }
             CacheFileError::MalformedIndex { offset } => {
                 write!(
                     f,
-                    "cache file record index is damaged at byte offset {offset}"
+                    "cache file block index is damaged at byte offset {offset}"
                 )
             }
         }
@@ -150,8 +163,8 @@ impl From<io::Error> for CacheFileError {
     }
 }
 
-/// A union conflict: two caches carry the same dedup key with entries
-/// whose v2 record encodings are **not byte-equal**.
+/// A union conflict: two caches carry the same key (series token and
+/// rate bits) with outcomes whose encodings are **not byte-equal**.
 ///
 /// Because evaluation is pure and floats round-trip exactly, two honest
 /// explorations of the same scenario can never disagree — a conflict
@@ -159,8 +172,10 @@ impl From<io::Error> for CacheFileError {
 /// files, and the merge must fail rather than pick a side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConflict {
-    /// The dedup key both caches claim.
-    pub key: String,
+    /// The series token both caches claim.
+    pub series: String,
+    /// The rate bits both caches claim.
+    pub rate_bits: u64,
     /// The outcome already held by the merge target, rendered with `{:?}`.
     pub ours: String,
     /// The outcome the merged-in cache carries, rendered with `{:?}`.
@@ -172,7 +187,9 @@ impl fmt::Display for CacheConflict {
         write!(
             f,
             "cache union conflict on key `{}`: `{}` != `{}`",
-            self.key, self.ours, self.theirs
+            render_cache_key(&self.series, self.rate_bits),
+            self.ours,
+            self.theirs
         )
     }
 }
@@ -188,7 +205,17 @@ pub struct MergeStats {
     pub duplicates: usize,
 }
 
-/// A persistent map from scenario dedup keys to evaluated outcomes.
+/// The entries of one series, as a flush stream carries them: the unit a
+/// [`CacheAppender`] writes and a [`FlushReader`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeriesBlock {
+    /// The series token.
+    pub series: String,
+    /// `(rate bits, outcome)` pairs, distinct rates.
+    pub entries: Vec<(u64, CellOutcome)>,
+}
+
+/// A persistent map from (series token, rate bits) to evaluated outcomes.
 ///
 /// ```
 /// use memstream_grid::{GridExecutor, ResultCache, ScenarioGrid};
@@ -218,14 +245,16 @@ pub struct MergeStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
-    /// The overlay map: inserted and merged-in entries only. Without a
-    /// view this is simply *the* map.
-    entries: HashMap<String, CellOutcome>,
-    /// The lazy backing file ([`ResultCache::load_lazy`]): probes hit
-    /// its index, and each hit decodes its record's outcome in place.
+    /// The overlay: inserted and merged-in entries only, by series token
+    /// then rate bits. Without a view this is simply *the* map.
+    entries: BTreeMap<String, BTreeMap<u64, CellOutcome>>,
+    /// The lazy backing file ([`ResultCache::load_lazy`]): lookups find
+    /// their block and row through its index, and each hit decodes its
+    /// row in place.
     view: Option<Arc<CacheView>>,
-    /// View outcomes by record ordinal, kept after their first decode
-    /// once [`ResultCache::keep_decoded`] asked for it; empty otherwise.
+    /// View outcomes by file-wide row ordinal, kept after their first
+    /// decode once [`ResultCache::keep_decoded`] asked for it; empty
+    /// otherwise.
     decoded: Vec<Option<CellOutcome>>,
     /// Overlay keys the view does not hold, so `len()` is
     /// `view.len() + overlay_new` without iterating either side.
@@ -251,7 +280,7 @@ pub struct ResultCache {
 
 /// The cache's pre-resolved telemetry handles (see `docs/OBSERVABILITY.md`,
 /// `cache.*`). Default handles are no-ops, so an unattached cache pays a
-/// null-check per lookup and nothing more.
+/// null-check per series and nothing more.
 #[derive(Debug, Clone, Default)]
 struct CacheTelemetry {
     hits: Counter,
@@ -264,14 +293,14 @@ struct CacheTelemetry {
     merge_span: SpanHandle,
     save_bytes: Counter,
     save_span: SpanHandle,
-    /// Records decoded on demand from a lazy [`CacheView`] — the number
-    /// a warm run must keep proportional to the work requested, not the
+    /// Rows decoded on demand from a lazy [`CacheView`] — the number a
+    /// warm run must keep proportional to the work requested, not the
     /// cache size. Strict loads do not count here.
     records_decoded: Counter,
-    /// Binary-search probes into a lazy view's record index.
+    /// Binary-search probes into a lazy view's rate columns.
     index_lookups: Counter,
-    /// Per-lookup latency distribution (`cache.lookup`); the clock is
-    /// only read when the histogram is live.
+    /// Sampled per-lookup latency distribution (`cache.lookup`); the
+    /// clock is only read when the histogram is live.
     lookup_latency: Histogram,
 }
 
@@ -293,9 +322,117 @@ impl CacheTelemetry {
             lookup_latency: metrics.histogram("cache.lookup"),
         }
     }
+}
 
-    fn is_enabled(&self) -> bool {
-        self.merge_bytes.is_live()
+/// Where a found entry lives.
+#[derive(Debug, Clone, Copy)]
+enum Slot<'a> {
+    /// In the overlay map.
+    Overlay(&'a CellOutcome),
+    /// At `row` of the view block, file-wide row ordinal `global`.
+    Row { row: usize, global: usize },
+}
+
+/// One series of a [`ResultCache`], resolved once: its overlay entries
+/// and its view block. Every lookup — [`ResultCache::get`],
+/// [`ResultCache::contains_key`], the executor's cell resolution, merges
+/// and saves — goes through [`CachedSeries`]: the overlay first, then a
+/// binary search over the block's rate column.
+///
+/// View probes and row decodes are tallied in the handle and reported
+/// into `cache.index_lookups` / `cache.records_decoded` once, when it is
+/// dropped.
+#[derive(Debug)]
+pub struct CachedSeries<'a> {
+    overlay: Option<&'a BTreeMap<u64, CellOutcome>>,
+    block: Option<ViewBlock<'a>>,
+    telemetry: &'a CacheTelemetry,
+    probes: Cell<u64>,
+    decodes: Cell<u64>,
+}
+
+impl<'a> CachedSeries<'a> {
+    fn new(
+        entries: &'a BTreeMap<String, BTreeMap<u64, CellOutcome>>,
+        view: Option<&'a CacheView>,
+        telemetry: &'a CacheTelemetry,
+        series: &str,
+    ) -> Self {
+        CachedSeries {
+            overlay: entries.get(series),
+            block: view.and_then(|view| view.block(series)),
+            telemetry,
+            probes: Cell::new(0),
+            decodes: Cell::new(0),
+        }
+    }
+
+    fn find(&self, rate_bits: u64) -> Option<Slot<'a>> {
+        if let Some(outcome) = self.overlay.and_then(|map| map.get(&rate_bits)) {
+            return Some(Slot::Overlay(outcome));
+        }
+        let block = self.block?;
+        self.probes.set(self.probes.get() + 1);
+        let row = block.block.find(rate_bits)?;
+        Some(Slot::Row {
+            row,
+            global: block.first_row + row,
+        })
+    }
+
+    /// The outcome in `slot`: a clone from the overlay, or the view row
+    /// decoded in place (`None` if the row is malformed).
+    fn decode(&self, slot: Slot<'_>) -> Option<CellOutcome> {
+        match slot {
+            Slot::Overlay(outcome) => Some(outcome.clone()),
+            Slot::Row { row, .. } => {
+                let outcome = self.block?.block.outcome(row)?;
+                self.decodes.set(self.decodes.get() + 1);
+                Some(outcome)
+            }
+        }
+    }
+
+    /// Whether the series holds `rate_bits` — no row is decoded.
+    #[must_use]
+    pub fn contains(&self, rate_bits: u64) -> bool {
+        self.find(rate_bits).is_some()
+    }
+
+    /// The outcome stored at `rate_bits`; a view-held row is decoded in
+    /// place.
+    #[must_use]
+    pub fn get(&self, rate_bits: u64) -> Option<CellOutcome> {
+        self.decode(self.find(rate_bits)?)
+    }
+
+    /// Every entry of the series, sorted by rate bits; overlay entries
+    /// shadow view rows at the same rate.
+    fn slots(&self) -> Vec<(u64, Slot<'a>)> {
+        let mut slots: Vec<(u64, Slot<'a>)> = self
+            .overlay
+            .into_iter()
+            .flatten()
+            .map(|(&rate, outcome)| (rate, Slot::Overlay(outcome)))
+            .collect();
+        if let Some(block) = self.block {
+            for row in 0..block.block.len() {
+                let rate = block.block.rate(row);
+                if !self.overlay.is_some_and(|map| map.contains_key(&rate)) {
+                    let global = block.first_row + row;
+                    slots.push((rate, Slot::Row { row, global }));
+                }
+            }
+            slots.sort_unstable_by_key(|&(rate, _)| rate);
+        }
+        slots
+    }
+}
+
+impl Drop for CachedSeries<'_> {
+    fn drop(&mut self) {
+        self.telemetry.index_lookups.add(self.probes.get());
+        self.telemetry.records_decoded.add(self.decodes.get());
     }
 }
 
@@ -316,8 +453,8 @@ impl ResultCache {
 
     /// Opens a cache file **lazily**, the lenient warm-start reader: a
     /// structurally valid file is held as a [`CacheView`] — only its
-    /// record index is read — and each lookup hit decodes that one
-    /// record's outcome in place (no key string and, unless
+    /// block index and block structure are read — and each lookup hit
+    /// decodes that one row in place (unless
     /// [`ResultCache::keep_decoded`], no memo: a cell looked up twice
     /// decodes twice). Probes ([`ResultCache::contains_key`], planning)
     /// never decode at all.
@@ -326,7 +463,7 @@ impl ResultCache {
     /// cache; a file with another header starts empty and names that
     /// header in [`ResultCache::stale_header`]; a file the view cannot
     /// validate (a flush stream, which has no index, or structural
-    /// damage) keeps every record before the first malformed one — the
+    /// damage) keeps every block before the first malformed one — the
     /// length-prefixed stream cannot be resynchronised past damage.
     ///
     /// # Errors
@@ -339,23 +476,25 @@ impl ResultCache {
             Err(e) => return Err(e),
         };
         let mut cache = ResultCache::new();
-        if !bytes.starts_with(V2_MAGIC) {
+        if !bytes.starts_with(V3_MAGIC) {
             if !bytes.is_empty() {
                 cache.stale_header = Some(header_line(&bytes));
             }
-        } else if let Ok(offsets) = validate_v2(&bytes) {
-            cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
+        } else if let Ok(blocks) = validate_v3(&bytes) {
+            cache.view = Some(Arc::new(CacheView::from_validated(bytes, blocks)));
             cache.loaded = true;
         } else {
-            cache.entries = parse_v2_lenient(&bytes);
+            for block in scan_blocks(&bytes) {
+                cache.absorb(&block.series, block.entries);
+            }
         }
         Ok(cache)
     }
 
     /// Loads a cache file as an **interchange file**: unlike
     /// [`ResultCache::load_lazy`], a missing file, another header, or
-    /// any structural or record damage is an attributed error, and every
-    /// record is decoded up front. A file that half-parses must never
+    /// any structural or row damage is an attributed error, and every
+    /// row is decoded up front. A file that half-parses must never
     /// silently shrink a result; tests also use this reader as the
     /// reference decode the lazy view must agree with.
     ///
@@ -363,31 +502,63 @@ impl ResultCache {
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not found"),
     /// [`CacheFileError::VersionMismatch`] if the header line is not
-    /// `memstream-grid-cache v2 k2`, [`CacheFileError::MalformedIndex`]
-    /// (attributed by byte offset) if the count, record index or trailer
-    /// disagrees with the records actually present, and
-    /// [`CacheFileError::Malformed`] on the first record that fails to
-    /// decode.
+    /// `memstream-grid-cache v3 k2`, [`CacheFileError::MalformedIndex`]
+    /// (attributed by byte offset) if the count, block index or trailer
+    /// disagrees with the blocks actually present, and
+    /// [`CacheFileError::Malformed`] on the first block that is out of
+    /// order or holds a row that fails to decode.
     pub fn load_strict(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
         let view = CacheView::open(path)?;
         let mut cache = ResultCache::new();
-        cache.entries = HashMap::with_capacity(view.len());
-        for ordinal in 0..view.len() {
-            let outcome = view
-                .outcome_at(ordinal)
-                .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
-            cache
-                .entries
-                .insert(view.key_at(ordinal).to_owned(), outcome);
+        for (ordinal, block) in view.blocks().enumerate() {
+            let entries = block
+                .block
+                .decode_all()
+                .ok_or(CacheFileError::Malformed { block: ordinal })?;
+            cache.absorb(block.block.series(), entries);
         }
         cache.loaded = true;
         Ok(cache)
     }
 
-    /// Unions `other` into `self`. Keys held by both caches must encode to
-    /// byte-identical v2 records; the union is therefore order-independent —
-    /// merging shard caches in any order yields the same entry set, and
-    /// [`ResultCache::save`] (which sorts by key) the same file bytes.
+    /// Inserts entries known to be new (absent from view and overlay)
+    /// without touching the insert telemetry or the dirty flag: the
+    /// loaders' and the merge's primitive.
+    fn absorb(&mut self, series: &str, entries: impl IntoIterator<Item = (u64, CellOutcome)>) {
+        let mut entries = entries.into_iter().peekable();
+        if entries.peek().is_none() {
+            return;
+        }
+        if !self.entries.contains_key(series) {
+            self.entries.insert(series.to_owned(), BTreeMap::new());
+        }
+        let map = self.entries.get_mut(series).expect("just inserted");
+        map.extend(entries);
+    }
+
+    /// The series tokens of every entry, ascending and distinct: the
+    /// overlay's and the view's, merged.
+    fn series_tokens(&self) -> Vec<&str> {
+        let mut tokens: Vec<&str> = self.entries.keys().map(String::as_str).collect();
+        if let Some(view) = self.view.as_deref() {
+            tokens.extend(view.blocks().map(|b| b.block.series()));
+            tokens.sort_unstable();
+            tokens.dedup();
+        }
+        tokens
+    }
+
+    /// Resolves `series` once for a run of probes: see [`CachedSeries`].
+    #[must_use]
+    pub fn series(&self, series: &str) -> CachedSeries<'_> {
+        CachedSeries::new(&self.entries, self.view.as_deref(), &self.telemetry, series)
+    }
+
+    /// Unions `other` into `self`. Keys held by both caches must carry
+    /// byte-identical outcome encodings; the union is therefore
+    /// order-independent — merging shard caches in any order yields the
+    /// same entry set, and [`ResultCache::save`] (which sorts by key) the
+    /// same file bytes.
     ///
     /// Hit/miss counters of both caches are left untouched: a merge is
     /// bookkeeping, not a lookup.
@@ -401,80 +572,78 @@ impl ResultCache {
     /// [`CacheConflict`] on the lowest-key conflicting entry.
     pub fn merge(&mut self, other: &ResultCache) -> Result<MergeStats, CacheConflict> {
         let _merge_timer = self.telemetry.merge_span.start();
-        let count_bytes = self.telemetry.is_enabled();
+        let count_bytes = self.telemetry.merge_bytes.is_live();
         // Detect pass, read-only: it completes before any mutation, so a
-        // conflict leaves `self` untouched.
-        let mut tally = ViewTally::default();
-        let mut additions: Vec<(&str, CellOutcome)> = Vec::new();
-        let mut duplicates = 0usize;
-        let mut bytes = 0u64;
-        let mut conflict: Option<CacheConflict> = None;
-        let (mut ours_record, mut theirs_record) = (Vec::new(), Vec::new());
-        for key in other.keys() {
-            let theirs = fetch_quiet(other, key, &mut tally)
-                .expect("listed keys resolve in their own cache");
-            match fetch_quiet(self, key, &mut tally) {
-                Some(ours) => {
-                    // The conflict rule is byte-equality of the encoded
-                    // record, not structural equality: it is the file
-                    // bytes two shards must agree on, and it treats equal
-                    // NaN payloads as the duplicates they are.
-                    ours_record.clear();
-                    theirs_record.clear();
-                    push_record(&mut ours_record, key, &ours);
-                    push_record(&mut theirs_record, key, &theirs);
-                    if ours_record == theirs_record {
+        // conflict leaves `self` untouched. Series and rates are visited
+        // in ascending order, so the first conflict is the lowest key.
+        let mut additions: Vec<(&str, Vec<(u64, CellOutcome)>)> = Vec::new();
+        let (mut duplicates, mut bytes) = (0usize, 0u64);
+        let (mut ours_bytes, mut theirs_bytes) = (Vec::new(), Vec::new());
+        for series in other.series_tokens() {
+            let theirs = other.series(series);
+            let ours = self.series(series);
+            let mut added = Vec::new();
+            for (rate, slot) in theirs.slots() {
+                let Some(their_outcome) = theirs.decode(slot) else {
+                    continue; // a malformed row is a miss in `other` too
+                };
+                match ours.find(rate).and_then(|slot| ours.decode(slot)) {
+                    Some(our_outcome) => {
+                        // The conflict rule is byte-equality of the
+                        // encoded outcome, not structural equality: it is
+                        // the file bytes two shards must agree on, and it
+                        // treats equal NaN payloads as the duplicates
+                        // they are.
+                        outcome_bytes(&our_outcome, &mut ours_bytes);
+                        outcome_bytes(&their_outcome, &mut theirs_bytes);
+                        if ours_bytes != theirs_bytes {
+                            return Err(CacheConflict {
+                                series: series.to_owned(),
+                                rate_bits: rate,
+                                ours: format!("{our_outcome:?}"),
+                                theirs: format!("{their_outcome:?}"),
+                            });
+                        }
                         duplicates += 1;
-                    } else if conflict.as_ref().is_none_or(|held| key < held.key.as_str()) {
-                        conflict = Some(CacheConflict {
-                            key: key.to_owned(),
-                            ours: format!("{ours:?}"),
-                            theirs: format!("{theirs:?}"),
-                        });
                     }
-                }
-                None => {
-                    if count_bytes {
-                        theirs_record.clear();
-                        push_record(&mut theirs_record, key, &theirs);
-                        bytes += theirs_record.len() as u64;
+                    None => {
+                        if count_bytes {
+                            bytes += entry_bytes(&their_outcome);
+                        }
+                        added.push((rate, their_outcome));
                     }
-                    additions.push((key, theirs));
                 }
             }
+            if !added.is_empty() {
+                additions.push((series, added));
+            }
         }
-        self.telemetry.index_lookups.add(tally.probes);
-        self.telemetry.records_decoded.add(tally.decoded);
-        if let Some(conflict) = conflict {
-            return Err(conflict);
-        }
-        let stats = MergeStats {
-            added: additions.len(),
-            duplicates,
-        };
-        for (key, outcome) in additions {
-            self.entries.insert(key.to_owned(), outcome);
+        let added: usize = additions.iter().map(|(_, entries)| entries.len()).sum();
+        for (series, entries) in additions {
+            self.absorb(series, entries);
         }
         // Every addition was absent from view *and* overlay (the detect
         // pass checked), so the length bookkeeping is a plain bump.
-        self.overlay_new += stats.added;
-        self.dirty |= stats.added > 0;
+        if self.view.is_some() {
+            self.overlay_new += added;
+        }
+        self.dirty |= added > 0;
         self.telemetry.merge_bytes.add(bytes);
         self.telemetry.merges.incr();
-        self.telemetry.merge_added.add(stats.added as u64);
-        self.telemetry.merge_duplicates.add(stats.duplicates as u64);
-        Ok(stats)
+        self.telemetry.merge_added.add(added as u64);
+        self.telemetry.merge_duplicates.add(duplicates as u64);
+        Ok(MergeStats { added, duplicates })
     }
 
-    /// Writes the cache to `path`, sorted by key for reproducible
-    /// bytes. Entries stream through a [`io::BufWriter`], each encoded
-    /// into one reused buffer — the whole file is never materialised in
-    /// memory.
+    /// Writes the cache to `path`: one block per series, sorted by series
+    /// token and rate for reproducible bytes, then the block index.
+    /// Blocks stream through a [`io::BufWriter`], each encoded into one
+    /// reused buffer.
     ///
     /// A lazily loaded cache that was never extended or shadowed
-    /// re-saves **verbatim**: the view's validation guarantees its
-    /// entries re-encode to exactly the bytes it was opened over, so the
-    /// file is rewritten without decoding a single record.
+    /// re-saves **verbatim**: the view's validation guarantees the file
+    /// it was opened over is what a fresh save would describe, so the
+    /// file is rewritten without decoding a single row.
     ///
     /// # Errors
     ///
@@ -490,30 +659,44 @@ impl ResultCache {
                 return Ok(());
             }
         }
-        // Overlay entries are borrowed; only view-held records the
-        // overlay does not shadow are decoded.
-        let decoded: Vec<(&str, CellOutcome)> = match self.view.as_deref() {
-            Some(view) => (0..view.len())
-                .map(|ordinal| (view.key_at(ordinal), ordinal))
-                .filter(|(key, _)| !self.entries.contains_key(*key))
-                .filter_map(|(key, ordinal)| Some((key, view.outcome_at(ordinal)?)))
-                .collect(),
-            None => Vec::new(),
-        };
-        self.telemetry.records_decoded.add(decoded.len() as u64);
-        let mut entries: Vec<(&str, &CellOutcome)> =
-            Vec::with_capacity(self.entries.len() + decoded.len());
-        entries.extend(
-            self.entries
-                .iter()
-                .map(|(key, outcome)| (key.as_str(), outcome)),
-        );
-        entries.extend(decoded.iter().map(|(key, outcome)| (*key, outcome)));
-        entries.sort_unstable_by_key(|&(key, _)| key);
         let mut out = io::BufWriter::new(fs::File::create(path)?);
-        let written = write_v2(&mut out, &entries)?;
+        let tokens = self.series_tokens();
+        out.write_all(V3_MAGIC)?;
+        out.write_all(&(tokens.len() as u64).to_le_bytes())?;
+        let mut offset = V3_MAGIC.len() as u64 + 8;
+        let mut index: Vec<u64> = Vec::with_capacity(tokens.len());
+        let mut block = Vec::new();
+        for series in tokens {
+            let cached = self.series(series);
+            // Overlay entries are borrowed; only view rows the overlay
+            // does not shadow are decoded (a malformed row is dropped).
+            let outcomes: Vec<(u64, Cow<'_, CellOutcome>)> = cached
+                .slots()
+                .into_iter()
+                .filter_map(|(rate, slot)| match slot {
+                    Slot::Overlay(outcome) => Some((rate, Cow::Borrowed(outcome))),
+                    Slot::Row { .. } => Some((rate, Cow::Owned(cached.decode(slot)?))),
+                })
+                .collect();
+            let entries: Vec<(u64, &CellOutcome)> = outcomes
+                .iter()
+                .map(|(rate, outcome)| (*rate, outcome.as_ref()))
+                .collect();
+            block.clear();
+            encode_block(&mut block, series, &entries);
+            index.push(offset);
+            out.write_all(&block)?;
+            offset += block.len() as u64;
+        }
+        let index_offset = offset;
+        for block_offset in &index {
+            out.write_all(&block_offset.to_le_bytes())?;
+        }
+        out.write_all(&index_offset.to_le_bytes())?;
         out.flush()?;
-        self.telemetry.save_bytes.add(written);
+        self.telemetry
+            .save_bytes
+            .add(offset + 8 * (index.len() as u64 + 1));
         Ok(())
     }
 
@@ -527,7 +710,7 @@ impl ResultCache {
     /// Propagates I/O errors.
     pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
         match format {
-            CacheFormat::V2 => self.save(path),
+            CacheFormat::V3 => self.save(path),
         }
     }
 
@@ -536,7 +719,7 @@ impl ResultCache {
     pub fn len(&self) -> usize {
         match self.view.as_deref() {
             Some(view) => view.len() + self.overlay_new,
-            None => self.entries.len(),
+            None => self.entries.values().map(BTreeMap::len).sum(),
         }
     }
 
@@ -549,7 +732,7 @@ impl ResultCache {
     /// Whether [`ResultCache::save`] would change the file this cache
     /// was loaded from. It would not when both hold: nothing was
     /// inserted or merged in, and the loader read the file back intact
-    /// (no damaged record dropped). A new cache, or one over a missing
+    /// (no damaged block dropped). A new cache, or one over a missing
     /// or refused file, always needs its save.
     #[must_use]
     pub fn needs_save(&self) -> bool {
@@ -577,80 +760,81 @@ impl ResultCache {
         self.misses
     }
 
-    /// Looks up an outcome, counting the hit/miss and timing the probe
-    /// into the `cache.lookup` histogram when telemetry is enabled.
+    /// Looks up `rates` (rate bits) of one series, pushing one answer per
+    /// rate onto `found`, in order. The series is resolved once; the
+    /// hit/miss, probe and decode counters are bumped once for the whole
+    /// call, and one lookup in [`LOOKUP_SAMPLE_EVERY`] is timed into the
+    /// `cache.lookup` histogram when it is live.
     ///
-    /// On a lazy cache, a view hit decodes that one record's outcome in
-    /// place and keeps nothing (unless [`ResultCache::keep_decoded`]):
-    /// the grid looks each unique cell up once, so
-    /// `cache.records_decoded` equals the view hits.
-    pub(crate) fn lookup(&mut self, key: &str) -> Option<CellOutcome> {
-        let started = self
-            .telemetry
-            .lookup_latency
-            .is_live()
-            .then(std::time::Instant::now);
-        let found = match self.entries.get(key) {
-            Some(outcome) => Some(outcome.clone()),
-            None => self.view_outcome(key).map(|(ordinal, outcome)| {
-                if let Some(slot @ None) = self.decoded.get_mut(ordinal) {
-                    *slot = Some(outcome.clone());
-                }
-                outcome
-            }),
-        };
-        if let Some(started) = started {
-            self.telemetry.lookup_latency.record(started.elapsed());
-        }
-        match found {
-            Some(outcome) => {
-                self.hits += 1;
-                self.telemetry.hits.incr();
-                Some(outcome)
+    /// On a lazy cache, a view hit decodes that one row in place and
+    /// keeps nothing (unless [`ResultCache::keep_decoded`]): the grid
+    /// looks each unique cell up once, so `cache.records_decoded` equals
+    /// the view hits.
+    pub(crate) fn lookup_series(
+        &mut self,
+        series: &str,
+        rates: &[u64],
+        found: &mut Vec<Option<CellOutcome>>,
+    ) {
+        let ResultCache {
+            entries,
+            view,
+            decoded,
+            telemetry,
+            hits,
+            misses,
+            ..
+        } = self;
+        let timed = telemetry.lookup_latency.is_live();
+        let cached = CachedSeries::new(entries, view.as_deref(), telemetry, series);
+        let before = found.len();
+        // Lookups before this call, so sampling spans calls evenly.
+        let done = *hits + *misses;
+        for (i, &rate) in rates.iter().enumerate() {
+            let sampled = timed && (done + i) % LOOKUP_SAMPLE_EVERY == 0;
+            let started = sampled.then(std::time::Instant::now);
+            let outcome = cached.find(rate).and_then(|slot| match slot {
+                Slot::Row { global, .. } => match decoded.get_mut(global) {
+                    Some(Some(kept)) => Some(kept.clone()),
+                    Some(memo @ None) => {
+                        let outcome = cached.decode(slot)?;
+                        *memo = Some(outcome.clone());
+                        Some(outcome)
+                    }
+                    None => cached.decode(slot),
+                },
+                Slot::Overlay(_) => cached.decode(slot),
+            });
+            if let Some(started) = started {
+                telemetry.lookup_latency.record(started.elapsed());
             }
-            None => {
-                self.misses += 1;
-                self.telemetry.misses.incr();
-                None
-            }
+            found.push(outcome);
         }
-    }
-
-    /// The view's record for `key` and its outcome: one index binary
-    /// search, then the outcome kept by [`ResultCache::keep_decoded`],
-    /// or else the record's outcome decoded in place. Counts the probe
-    /// and any decode.
-    fn view_outcome(&self, key: &str) -> Option<(usize, CellOutcome)> {
-        let view = self.view.as_deref()?;
-        self.telemetry.index_lookups.incr();
-        let ordinal = view.find(key)?;
-        if let Some(Some(kept)) = self.decoded.get(ordinal) {
-            return Some((ordinal, kept.clone()));
-        }
-        let outcome = view.outcome_at(ordinal)?;
-        self.telemetry.records_decoded.incr();
-        Some((ordinal, outcome))
+        drop(cached);
+        let found_hits = found[before..].iter().filter(|o| o.is_some()).count();
+        let found_misses = rates.len() - found_hits;
+        *hits += found_hits;
+        *misses += found_misses;
+        telemetry.hits.add(found_hits as u64);
+        telemetry.misses.add(found_misses as u64);
     }
 
     /// Peeks at an outcome without touching the hit/miss counters (the
     /// shard planner asks "is this cell already known?" without it being
-    /// a lookup of record). On a lazy cache a view-held record is found
-    /// by one index binary search and its outcome decoded in place;
-    /// both count (`cache.index_lookups`, `cache.records_decoded`).
+    /// a lookup of record). On a lazy cache a view-held row is found by
+    /// two binary searches (block, then rate) and decoded in place; both
+    /// count (`cache.index_lookups`, `cache.records_decoded`).
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        match self.entries.get(key) {
-            Some(outcome) => Some(outcome.clone()),
-            None => self.view_outcome(key).map(|(_, outcome)| outcome),
-        }
+    pub fn get(&self, series: &str, rate_bits: u64) -> Option<CellOutcome> {
+        self.series(series).get(rate_bits)
     }
 
-    /// Keeps each view record's outcome after its first decode, so a
-    /// later lookup of the same cell clones it instead of decoding
-    /// again. For callers that look cells up more than once: the
-    /// refinement loop re-assembles every round over its grown grid. A
-    /// grid run looks each cell up once and leaves this off. A no-op
-    /// without a lazy view.
+    /// Keeps each view row's outcome after its first decode, so a later
+    /// lookup of the same cell clones it instead of decoding again. For
+    /// callers that look cells up more than once: the refinement loop
+    /// re-assembles every round over its grown grid. A grid run looks
+    /// each cell up once and leaves this off. A no-op without a lazy
+    /// view.
     pub fn keep_decoded(&mut self) {
         if let Some(view) = self.view.as_deref() {
             if self.decoded.is_empty() {
@@ -659,361 +843,142 @@ impl ResultCache {
         }
     }
 
-    /// Whether `key` is cached, without counting a hit or miss. On a
-    /// lazy cache this is an index probe — no record is decoded, which
-    /// is what keeps fully-warm planning decode-free.
+    /// Whether (`series`, `rate_bits`) is cached, without counting a hit
+    /// or miss. On a lazy cache this is an index probe — no row is
+    /// decoded, which is what keeps fully-warm planning decode-free.
     #[must_use]
-    pub fn contains_key(&self, key: &str) -> bool {
-        if self.entries.contains_key(key) {
-            return true;
+    pub fn contains_key(&self, series: &str, rate_bits: u64) -> bool {
+        self.series(series).contains(rate_bits)
+    }
+
+    /// Every cached key — (series token, rate bits) — sorted by series,
+    /// then rate.
+    pub fn keys(&self) -> impl Iterator<Item = (&str, u64)> {
+        let mut keys = Vec::with_capacity(self.len());
+        for series in self.series_tokens() {
+            keys.extend(
+                self.series(series)
+                    .slots()
+                    .into_iter()
+                    .map(|(rate, _)| (series, rate)),
+            );
         }
-        match self.view.as_deref() {
-            Some(view) => {
-                self.telemetry.index_lookups.incr();
-                view.find(key).is_some()
-            }
-            None => false,
-        }
+        keys.into_iter()
     }
 
-    /// Iterates the cached dedup keys in arbitrary order (sort before
-    /// relying on the order for anything user-visible).
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        let view = self.view.as_deref();
-        self.entries
-            .keys()
-            .map(String::as_str)
-            .filter(move |key| match view {
-                Some(view) => view.find(key).is_none(),
-                None => true,
-            })
-            .chain(view.into_iter().flat_map(CacheView::keys))
+    /// Inserts an outcome under (`series`, `rate_bits`), replacing any
+    /// previous entry. See [`ResultCache::insert_series`].
+    pub fn insert(&mut self, series: &str, rate_bits: u64, outcome: CellOutcome) {
+        self.insert_series(series, [(rate_bits, outcome)]);
     }
 
-    /// Makes room for `additional` inserts in one allocation.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
-    /// Inserts an outcome under `key`, replacing any previous entry.
+    /// Inserts `(rate bits, outcome)` entries of one series, replacing
+    /// any previous entries at the same rates; the series is resolved
+    /// once.
     ///
-    /// The executor records each fresh evaluation with this; for
-    /// unioning whole caches prefer
-    /// [`ResultCache::merge`], which refuses conflicting entries instead
-    /// of overwriting.
-    pub fn insert(&mut self, key: String, outcome: CellOutcome) {
-        self.telemetry.inserts.incr();
+    /// The executor records each series' fresh evaluations with this; for
+    /// unioning whole caches prefer [`ResultCache::merge`], which refuses
+    /// conflicting entries instead of overwriting.
+    pub fn insert_series(
+        &mut self,
+        series: &str,
+        entries: impl IntoIterator<Item = (u64, CellOutcome)>,
+    ) {
+        let mut entries = entries.into_iter().peekable();
+        if entries.peek().is_none() {
+            return;
+        }
+        if !self.entries.contains_key(series) {
+            self.entries.insert(series.to_owned(), BTreeMap::new());
+        }
+        let map = self.entries.get_mut(series).expect("just inserted");
+        let block = self.view.as_deref().and_then(|view| view.block(series));
+        let (mut inserted, mut probes) = (0u64, 0u64);
+        for (rate, outcome) in entries {
+            inserted += 1;
+            let in_view = block.is_some_and(|b| {
+                probes += 1;
+                b.block.find(rate).is_some()
+            });
+            let replaced = map.insert(rate, outcome).is_some();
+            if in_view {
+                // Overwriting a view-held key: the file bytes are no
+                // longer the truth, so the verbatim re-save fast path
+                // must not run.
+                self.shadowed = true;
+            } else if self.view.is_some() && !replaced {
+                self.overlay_new += 1;
+            }
+        }
         self.dirty = true;
-        let in_view = match self.view.as_deref() {
-            Some(view) => {
-                self.telemetry.index_lookups.incr();
-                view.find(&key).is_some()
-            }
-            None => false,
+        self.telemetry.inserts.add(inserted);
+        self.telemetry.index_lookups.add(probes);
+    }
+}
+
+/// Leniently scans the blocks of a v3 stream (`bytes` starts with
+/// [`V3_MAGIC`]): every block decoded before the first damage — a torn
+/// frame, a structurally invalid block or an undecodable row — is kept;
+/// the damage and everything after it is dropped. Reads at most the
+/// header's count of blocks and never consults the index, which lets it
+/// double as the flush-stream loader (flush streams have no index).
+fn scan_blocks(bytes: &[u8]) -> Vec<SeriesBlock> {
+    let Some(count) = bytes
+        .get(V3_MAGIC.len()..V3_MAGIC.len() + 8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    else {
+        return Vec::new();
+    };
+    let mut pos = V3_MAGIC.len() + 8;
+    let mut blocks = Vec::new();
+    while (blocks.len() as u64) < count {
+        let Frame::Block(meta, body) = frame_at(bytes, pos) else {
+            break;
         };
-        let replaced = self.entries.insert(key, outcome).is_some();
-        if in_view {
-            // Overwriting a view-held key: the file bytes are no longer
-            // the truth, so the verbatim re-save fast path must not run.
-            self.shadowed = true;
-        } else if self.view.is_some() && !replaced {
-            self.overlay_new += 1;
-        }
+        let block = Block::new(&bytes[body.clone()], meta);
+        let Some(entries) = block.decode_all() else {
+            break;
+        };
+        blocks.push(SeriesBlock {
+            series: block.series().to_owned(),
+            entries,
+        });
+        pos = body.end;
     }
+    blocks
 }
 
-/// Maps a parsed region/dominant label back to the `&'static str` the
-/// outcome types carry. Only labels the evaluator can produce round-trip;
-/// anything else rejects the line.
-fn static_label(s: &str) -> Option<&'static str> {
-    for requirement in Requirement::ALL {
-        if requirement.label() == s {
-            return Some(requirement.label());
-        }
-    }
-    match s {
-        "X" => Some("X"),
-        "disk" => Some("disk"),
-        "-" => Some("-"),
-        _ => None,
-    }
+/// Encodes `block` framed (entries sorted by rate; a repeated rate
+/// keeps its first entry).
+fn push_series_block(out: &mut Vec<u8>, block: &SeriesBlock) {
+    let mut entries: Vec<(u64, &CellOutcome)> = block
+        .entries
+        .iter()
+        .map(|(rate, outcome)| (*rate, outcome))
+        .collect();
+    entries.sort_by_key(|&(rate, _)| rate);
+    entries.dedup_by_key(|&mut (rate, _)| rate);
+    encode_block(out, &block.series, &entries);
 }
 
 // ---------------------------------------------------------------------
-// The v2 binary encoding (docs/CACHE_FORMAT.md § "File layout").
-// Scalars are little-endian; floats are raw IEEE-754 bits, so the
-// round-trip through v2 is exact by construction. Strings are
-// `u32 length + UTF-8 bytes`, unescaped. Each record is
-// `u32 body length + body`, body = `key string, tag byte, payload`.
+// Incremental flush streams (docs/SHARD_PROTOCOL.md § "The flush
+// stream"): an append-only v3 block stream shard workers write once per
+// lease and the coordinator tails while the worker is still running.
 // ---------------------------------------------------------------------
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn push_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            push_f64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(
-        out,
-        u32::try_from(s.len()).expect("cache string exceeds u32 length"),
-    );
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends one entry's framed record (`u32` body length, then the body)
-/// to `out`. The body is encoded in place and its length patched in.
-fn push_record(out: &mut Vec<u8>, key: &str, outcome: &CellOutcome) {
-    let start = out.len();
-    push_u32(out, 0);
-    push_str(out, key);
-    match outcome {
-        CellOutcome::Feasible(p) => {
-            out.push(b'F');
-            push_f64(out, p.buffer.bits());
-            push_str(out, p.dominant);
-            push_opt_f64(out, p.saving);
-            push_f64(out, p.utilization.fraction());
-            push_f64(out, p.lifetime.get());
-            push_opt_f64(out, p.energy_per_bit.map(EnergyPerBit::joules_per_bit));
-        }
-        CellOutcome::Infeasible { region, detail } => {
-            out.push(b'X');
-            push_str(out, region);
-            push_str(out, detail);
-        }
-        CellOutcome::EnergyOnly(p) => {
-            out.push(b'D');
-            push_opt_f64(out, p.break_even.map(DataSize::bits));
-            push_opt_f64(out, p.buffer_for_saving.map(DataSize::bits));
-            push_opt_f64(out, p.saving);
-        }
-        CellOutcome::Unmodelled { detail } => {
-            out.push(b'U');
-            push_str(out, detail);
-        }
-    }
-    let len = u32::try_from(out.len() - start - 4).expect("cache record exceeds u32 length");
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// A bounds-checked cursor over a v2 byte stream. Every reader returns
-/// `None` past the end — truncation surfaces as a parse failure, never
-/// a panic.
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn opt_f64(&mut self) -> Option<Option<f64>> {
-        match self.take(1)?[0] {
-            0 => Some(None),
-            1 => self.f64().map(Some),
-            _ => None,
-        }
-    }
-
-    fn str_slice(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.str_slice().map(str::to_owned)
-    }
-
-    /// A region/dominant label, interned to the evaluator's static set.
-    fn label(&mut self) -> Option<&'static str> {
-        self.str_slice().and_then(static_label)
-    }
-
-    /// A record payload: the tag byte and its fields.
-    fn outcome(&mut self) -> Option<CellOutcome> {
-        Some(match self.take(1)?[0] {
-            b'F' => CellOutcome::Feasible(PlannedPoint {
-                buffer: DataSize::from_bits(self.f64()?),
-                dominant: self.label()?,
-                saving: self.opt_f64()?,
-                utilization: Ratio::from_fraction(self.f64()?),
-                lifetime: Years::new(self.f64()?),
-                energy_per_bit: self.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
-            }),
-            b'X' => CellOutcome::Infeasible {
-                region: self.label()?,
-                detail: self.string()?,
-            },
-            b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                break_even: self.opt_f64()?.map(DataSize::from_bits),
-                buffer_for_saving: self.opt_f64()?.map(DataSize::from_bits),
-                saving: self.opt_f64()?,
-            }),
-            b'U' => CellOutcome::Unmodelled {
-                detail: self.string()?,
-            },
-            _ => return None,
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-/// Decodes one record body. Trailing garbage within the body rejects the
-/// record — the length prefix and the payload must agree exactly.
-pub(crate) fn decode_record(body: &[u8]) -> Option<(String, CellOutcome)> {
-    let mut r = ByteReader {
-        bytes: body,
-        pos: 0,
-    };
-    let key = r.string()?;
-    let outcome = r.outcome()?;
-    r.done().then_some((key, outcome))
-}
-
-/// Decodes only the outcome of one record body: the key bytes are
-/// skipped, never copied or checked (a view's validation already read
-/// them). Rejects trailing garbage like [`decode_record`].
-pub(crate) fn decode_outcome(body: &[u8]) -> Option<CellOutcome> {
-    let mut r = ByteReader {
-        bytes: body,
-        pos: 0,
-    };
-    let key_len = r.u32()? as usize;
-    r.take(key_len)?;
-    let outcome = r.outcome()?;
-    r.done().then_some(outcome)
-}
-
-/// Leniently scans the records of a v2 file (`bytes` starts with
-/// [`V2_MAGIC`]): every entry parsed before the first malformation is
-/// kept, damage and everything after it is dropped. This reader never
-/// consults the index, which lets it double as the flush-stream loader
-/// (flush streams have no index at all).
+/// An append-only incremental writer of v3 blocks — the shard workers'
+/// **flush stream**.
 ///
-/// The map is pre-sized from the header count, capped against the
-/// honest minimum record footprint so a hostile count cannot balloon the
-/// allocation past the actual file size.
-fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
-    let mut r = ByteReader {
-        bytes,
-        pos: V2_MAGIC.len(),
-    };
-    let Some(count) = r.u64().and_then(|c| usize::try_from(c).ok()) else {
-        return HashMap::new();
-    };
-    let mut entries = HashMap::with_capacity(count.min(bytes.len() / 10));
-    for _ in 0..count {
-        let entry = r
-            .u32()
-            .and_then(|len| r.take(len as usize))
-            .and_then(decode_record);
-        match entry {
-            Some((key, outcome)) => {
-                entries.insert(key, outcome);
-            }
-            None => break,
-        }
-    }
-    entries
-}
-
-/// Lazy-view index probes and record decodes a merge made against
-/// either cache, added to the target's counters in one step.
-#[derive(Default)]
-struct ViewTally {
-    probes: u64,
-    decoded: u64,
-}
-
-/// Resolves `key` in `cache` without touching its telemetry or its
-/// kept decodes, tallying any view probe and decode.
-fn fetch_quiet(cache: &ResultCache, key: &str, tally: &mut ViewTally) -> Option<CellOutcome> {
-    if let Some(outcome) = cache.entries.get(key) {
-        return Some(outcome.clone());
-    }
-    let view = cache.view.as_deref()?;
-    tally.probes += 1;
-    let outcome = view.outcome_at(view.find(key)?)?;
-    tally.decoded += 1;
-    Some(outcome)
-}
-
-/// Streams the v2 binary encoding (records then index) of sorted
-/// entries, returning the bytes written.
-fn write_v2(out: &mut impl io::Write, entries: &[(&str, &CellOutcome)]) -> io::Result<u64> {
-    out.write_all(V2_MAGIC)?;
-    out.write_all(&(entries.len() as u64).to_le_bytes())?;
-    let mut offset = V2_MAGIC.len() as u64 + 8;
-    let mut index: Vec<u64> = Vec::with_capacity(entries.len());
-    let mut record = Vec::new();
-    for (key, outcome) in entries {
-        index.push(offset);
-        record.clear();
-        push_record(&mut record, key, outcome);
-        out.write_all(&record)?;
-        offset += record.len() as u64;
-    }
-    let index_offset = offset;
-    for record_offset in &index {
-        out.write_all(&record_offset.to_le_bytes())?;
-    }
-    out.write_all(&index_offset.to_le_bytes())?;
-    Ok(offset + 8 * (index.len() as u64 + 1))
-}
-
-// ---------------------------------------------------------------------
-// Incremental flush streams (docs/SHARD_PROTOCOL.md § "Flush files"):
-// an append-only v2-record stream shard workers write between leases and
-// the coordinator tails while the worker is still running.
-// ---------------------------------------------------------------------
-
-/// An append-only incremental writer of v2 cache records — the shard
-/// workers' **flush stream**.
-///
-/// The file layout is a v2 prefix without the trailing index: magic,
-/// `u64` record count, then length-prefixed records. Each [`CacheAppender::append`]
-/// writes the new records at the end of the file *first* and only then
-/// rewrites the count field, so a writer dying mid-append leaves the
-/// count pointing at the last fully-flushed batch: the lenient
-/// [`ResultCache::load_lazy`] reads exactly the valid prefix, and a
-/// [`FlushReader`] tailing the stream drops the torn bytes. The strict
-/// [`ResultCache::load_strict`] rejects flush streams (no index) —
-/// deliberately, they are scratch, not interchange.
+/// The file layout is a v3 file without the trailing block index:
+/// magic, `u64` block count, then framed blocks. Each
+/// [`CacheAppender::append`] writes the new blocks at the end of the
+/// file *first* and only then rewrites the count field, so a writer
+/// dying mid-append leaves the count pointing at the last fully-flushed
+/// batch: the lenient [`ResultCache::load_lazy`] reads exactly the valid
+/// prefix, and a [`FlushReader`] tailing the stream drops the torn
+/// bytes. The strict [`ResultCache::load_strict`] rejects flush streams
+/// (no index) — deliberately, they are scratch, not interchange.
 #[derive(Debug)]
 pub struct CacheAppender {
     file: fs::File,
@@ -1029,41 +994,40 @@ impl CacheAppender {
     /// Propagates I/O errors.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut file = fs::File::create(path)?;
-        file.write_all(V2_MAGIC)?;
+        file.write_all(V3_MAGIC)?;
         file.write_all(&0u64.to_le_bytes())?;
         Ok(CacheAppender { file, count: 0 })
     }
 
-    /// Appends one batch of records and then commits it by rewriting the
-    /// header count. Returns the number of records written.
+    /// Appends one batch of blocks (empty ones are skipped) and then
+    /// commits it by rewriting the header count. Returns the number of
+    /// entries written.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; on error the batch is not committed (the
-    /// count still covers only previously committed records).
-    pub fn append<'a, I>(&mut self, entries: I) -> io::Result<usize>
-    where
-        I: IntoIterator<Item = (&'a str, &'a CellOutcome)>,
-    {
+    /// count still covers only previously committed blocks).
+    pub fn append(&mut self, blocks: &[SeriesBlock]) -> io::Result<usize> {
         use std::io::Seek as _;
         let mut batch = Vec::new();
-        let mut appended = 0usize;
-        for (key, outcome) in entries {
-            push_record(&mut batch, key, outcome);
-            appended += 1;
+        let (mut written, mut entries) = (0u64, 0usize);
+        for block in blocks.iter().filter(|b| !b.entries.is_empty()) {
+            push_series_block(&mut batch, block);
+            written += 1;
+            entries += block.entries.len();
         }
-        if appended == 0 {
+        if written == 0 {
             return Ok(0);
         }
         self.file.seek(io::SeekFrom::End(0))?;
         self.file.write_all(&batch)?;
-        self.count += appended as u64;
-        self.file.seek(io::SeekFrom::Start(V2_MAGIC.len() as u64))?;
+        self.count += written;
+        self.file.seek(io::SeekFrom::Start(V3_MAGIC.len() as u64))?;
         self.file.write_all(&self.count.to_le_bytes())?;
-        Ok(appended)
+        Ok(entries)
     }
 
-    /// Records committed so far.
+    /// Blocks committed so far.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
@@ -1073,23 +1037,31 @@ impl CacheAppender {
 /// What one [`FlushReader::poll`] yielded.
 #[derive(Debug, Default)]
 pub struct FlushPoll {
-    /// Records fully flushed since the previous poll, in file order.
-    pub records: Vec<(String, CellOutcome)>,
-    /// A *complete* record failed to decode (or the magic is wrong): the
+    /// Blocks fully flushed since the previous poll, in file order.
+    pub blocks: Vec<SeriesBlock>,
+    /// A *complete* block failed to decode (or the magic is wrong): the
     /// length-prefixed stream cannot be resynchronised past damage, so
     /// the reader is permanently stuck — everything before the damage
     /// was returned, nothing after it ever will be.
     pub damaged: bool,
 }
 
+impl FlushPoll {
+    /// Entries over all polled blocks.
+    #[must_use]
+    pub fn entries(&self) -> usize {
+        self.blocks.iter().map(|b| b.entries.len()).sum()
+    }
+}
+
 /// An incremental tail-reader over a [`CacheAppender`] flush stream,
 /// tolerant of a writer that is still appending (or died mid-append).
 ///
-/// Records are self-delimiting, so the reader ignores the header count
+/// Blocks are self-delimiting, so the reader ignores the header count
 /// entirely: a length prefix promising more bytes than the file holds is
 /// treated as *not flushed yet* and re-examined on the next poll — if the
 /// writer is dead, those torn trailing bytes are simply never returned.
-/// A complete record that fails to decode marks the stream damaged
+/// A complete block that fails to decode marks the stream damaged
 /// (sticky; see [`FlushPoll::damaged`]).
 #[derive(Debug)]
 pub struct FlushReader {
@@ -1097,8 +1069,8 @@ pub struct FlushReader {
     offset: u64,
     damaged: bool,
     /// The tail-read scratch buffer, reused across polls: the
-    /// coordinator polls every heartbeat tick, and most polls read a
-    /// few records (or nothing) — reallocating per poll is pure churn.
+    /// coordinator polls every lease-done, and most polls read a few
+    /// blocks (or nothing) — reallocating per poll is pure churn.
     buf: Vec<u8>,
 }
 
@@ -1115,7 +1087,7 @@ impl FlushReader {
         }
     }
 
-    /// Reads every record fully flushed since the last poll.
+    /// Reads every block fully flushed since the last poll.
     ///
     /// # Errors
     ///
@@ -1124,7 +1096,7 @@ impl FlushReader {
     pub fn poll(&mut self) -> io::Result<FlushPoll> {
         if self.damaged {
             return Ok(FlushPoll {
-                records: Vec::new(),
+                blocks: Vec::new(),
                 damaged: true,
             });
         }
@@ -1142,45 +1114,44 @@ impl FlushReader {
         let buf = &self.buf;
         let mut pos = 0usize;
         if self.offset == 0 {
-            let header = V2_MAGIC.len() + 8;
+            let header = V3_MAGIC.len() + 8;
             if buf.len() < header {
                 return Ok(FlushPoll::default());
             }
-            if !buf.starts_with(V2_MAGIC) {
+            if !buf.starts_with(V3_MAGIC) {
                 self.damaged = true;
                 return Ok(FlushPoll {
-                    records: Vec::new(),
+                    blocks: Vec::new(),
                     damaged: true,
                 });
             }
             pos = header;
         }
-        let mut records = Vec::new();
+        let mut blocks = Vec::new();
         loop {
-            let rest = &buf[pos..];
-            let Some(len) = rest
-                .get(..4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-            else {
-                break;
-            };
-            let Some(body) = rest.get(4..4 + len) else {
-                break; // torn or still being written: retry next poll
-            };
-            match decode_record(body) {
-                Some(entry) => {
-                    records.push(entry);
-                    pos += 4 + len;
-                }
-                None => {
+            match frame_at(buf, pos) {
+                Frame::Incomplete => break, // torn or still being written: retry next poll
+                Frame::Damaged => {
                     self.damaged = true;
                     break;
+                }
+                Frame::Block(meta, body) => {
+                    let block = Block::new(&buf[body.clone()], meta);
+                    let Some(entries) = block.decode_all() else {
+                        self.damaged = true;
+                        break;
+                    };
+                    blocks.push(SeriesBlock {
+                        series: block.series().to_owned(),
+                        entries,
+                    });
+                    pos = body.end;
                 }
             }
         }
         self.offset += pos as u64;
         Ok(FlushPoll {
-            records,
+            blocks,
             damaged: self.damaged,
         })
     }
@@ -1189,8 +1160,10 @@ impl FlushReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{EnergyOnlyPoint, PlannedPoint};
     use crate::exec::GridExecutor;
     use crate::spec::ScenarioGrid;
+    use memstream_units::{DataSize, Ratio, Years};
 
     /// A per-process, per-test temp path: the process id keeps concurrent
     /// `cargo test` invocations (which share the OS temp dir) from
@@ -1203,11 +1176,43 @@ mod tests {
         dir.join(name)
     }
 
-    /// One entry through the v2 record encoding and back.
-    fn round_trip(key: &str, outcome: &CellOutcome) -> (String, CellOutcome) {
-        let mut record = Vec::new();
-        push_record(&mut record, key, outcome);
-        decode_record(&record[4..]).expect("record decodes")
+    /// One entry through the v3 block encoding and back.
+    fn round_trip(series: &str, rate: u64, outcome: &CellOutcome) -> SeriesBlock {
+        let mut bytes = Vec::new();
+        push_series_block(
+            &mut bytes,
+            &SeriesBlock {
+                series: series.to_owned(),
+                entries: vec![(rate, outcome.clone())],
+            },
+        );
+        let Frame::Block(meta, body) = frame_at(&bytes, 0) else {
+            panic!("not a block");
+        };
+        let block = Block::new(&bytes[body], meta);
+        SeriesBlock {
+            series: block.series().to_owned(),
+            entries: block.decode_all().expect("block decodes"),
+        }
+    }
+
+    fn unmodelled(detail: &str) -> CellOutcome {
+        CellOutcome::Unmodelled {
+            detail: detail.to_owned(),
+        }
+    }
+
+    /// Every (series, rate) key of a grid's cells, in cell order.
+    fn grid_keys(grid: &ScenarioGrid) -> Vec<(String, u64)> {
+        let interner = crate::KeyInterner::new(grid);
+        grid.cells()
+            .map(|cell| {
+                (
+                    interner.series_token(interner.series_id(&cell)).to_owned(),
+                    interner.rate_bits(&cell),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -1220,22 +1225,20 @@ mod tests {
             EnergyOnly::new(DiskDevice::calibrated_1p8_inch()),
         ));
         let results = GridExecutor::serial().explore(&grid).unwrap();
+        let keys = grid_keys(&grid);
         let mut seen_kinds = std::collections::HashSet::new();
-        for (cell, outcome) in results.records() {
-            let key = grid.dedup_key(&cell);
-            let (parsed_key, parsed) = round_trip(&key, outcome);
-            assert_eq!(parsed_key, key);
-            assert_eq!(&parsed, outcome, "roundtrip drift for {key}");
+        for ((cell, outcome), (series, rate)) in results.records().zip(&keys) {
+            let parsed = round_trip(series, *rate, outcome);
+            assert_eq!(&parsed.series, series);
+            assert_eq!(parsed.entries, vec![(*rate, outcome.clone())], "{cell:?}");
             seen_kinds.insert(std::mem::discriminant(outcome));
         }
         // Feasible, infeasible and (masked-disk) energy-only all appear.
         assert_eq!(seen_kinds.len(), 3);
         // The fourth kind, `Unmodelled`, has no grid cell here; check its
         // encoding directly.
-        let unmodelled = CellOutcome::Unmodelled {
-            detail: "missing capability: wear".to_owned(),
-        };
-        assert_eq!(round_trip("k", &unmodelled).1, unmodelled);
+        let unmodelled = unmodelled("missing capability: wear");
+        assert_eq!(round_trip("k", 1, &unmodelled).entries[0].1, unmodelled);
     }
 
     #[test]
@@ -1248,7 +1251,7 @@ mod tests {
             lifetime: Years::unbounded(),
             energy_per_bit: None,
         });
-        assert_eq!(round_trip("k", &outcome).1, outcome);
+        assert_eq!(round_trip("k", 1, &outcome).entries[0].1, outcome);
     }
 
     #[test]
@@ -1277,36 +1280,37 @@ mod tests {
         fs::remove_file(path).unwrap();
     }
 
-    /// Overwrites the outcome tag of record `ordinal` in saved v2 bytes
-    /// with a byte no decoder accepts. Key framing, key order and the
-    /// index stay intact, so only a payload decode notices.
-    fn corrupt_tag(bytes: &mut [u8], ordinal: usize) {
-        let u32_at =
-            |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let mut pos = V2_MAGIC.len() + 8;
-        for _ in 0..ordinal {
-            pos += 4 + u32_at(pos);
-        }
-        let tag = pos + 8 + u32_at(pos + 4);
-        bytes[tag] = b'?';
+    /// The byte offset of row `row`'s tag in the first block of saved v3
+    /// bytes whose series token is `series`.
+    fn row_tag(bytes: &[u8], series: &str, row: usize) -> usize {
+        let at = |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let block = V3_MAGIC.len() + 8;
+        assert_eq!(
+            &bytes[block + 8..block + 8 + series.len()],
+            series.as_bytes()
+        );
+        let len_pos = block + 8 + at(block + 4);
+        let rows = len_pos + 8 + 8 * at(len_pos);
+        rows + crate::block::ROW_BYTES * row
     }
 
     #[test]
     fn corrupt_lines_become_misses() {
+        // A row whose tag no decoder accepts: framing, rate order and the
+        // index stay intact, so only the row's own decode notices.
         let path = temp_path("corrupt.cache");
         let mut cache = ResultCache::new();
-        for key in ["a", "b", "c"] {
-            cache.insert(key.to_owned(), unmodelled(key));
-        }
+        cache.insert_series("s", (1..=3).map(|r| (r, unmodelled(&r.to_string()))));
         cache.save(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        corrupt_tag(&mut bytes, 1);
+        let tag = row_tag(&bytes, "s", 1);
+        bytes[tag] = b'?';
         fs::write(&path, &bytes).unwrap();
 
         let mut lazy = ResultCache::load_lazy(&path).unwrap();
-        assert_eq!(lazy.lookup("a"), Some(unmodelled("a")));
-        assert_eq!(lazy.lookup("b"), None, "the damaged record is a miss");
-        assert_eq!(lazy.lookup("c"), Some(unmodelled("c")));
+        let mut found = Vec::new();
+        lazy.lookup_series("s", &[1, 2, 3], &mut found);
+        assert_eq!(found, [Some(unmodelled("1")), None, Some(unmodelled("3"))]);
         assert_eq!((lazy.hits(), lazy.misses()), (2, 1));
         fs::remove_file(path).unwrap();
     }
@@ -1379,14 +1383,12 @@ mod tests {
 
     #[test]
     fn merge_counts_added_and_duplicate_entries() {
-        let outcome = CellOutcome::Unmodelled {
-            detail: "x".to_owned(),
-        };
+        let outcome = unmodelled("x");
         let mut a = ResultCache::new();
-        a.insert("k1".to_owned(), outcome.clone());
+        a.insert("k", 1, outcome.clone());
         let mut b = ResultCache::new();
-        b.insert("k1".to_owned(), outcome.clone());
-        b.insert("k2".to_owned(), outcome);
+        b.insert("k", 1, outcome.clone());
+        b.insert("k", 2, outcome);
         let stats = a.merge(&b).unwrap();
         assert_eq!(
             stats,
@@ -1402,34 +1404,48 @@ mod tests {
     #[test]
     fn merge_conflicts_are_attributed_and_byte_level() {
         let mut a = ResultCache::new();
-        a.insert(
-            "cell".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "ours".to_owned(),
-            },
-        );
+        a.insert("cell", 5, unmodelled("ours"));
         let mut b = ResultCache::new();
-        b.insert(
-            "cell".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "theirs".to_owned(),
-            },
-        );
-        b.insert(
-            "aaa-sorts-first".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "new".to_owned(),
-            },
-        );
+        b.insert("cell", 5, unmodelled("theirs"));
+        b.insert("aaa-sorts-first", 5, unmodelled("new"));
         let conflict = a.merge(&b).unwrap_err();
-        assert_eq!(conflict.key, "cell");
+        assert_eq!((conflict.series.as_str(), conflict.rate_bits), ("cell", 5));
         assert!(conflict.ours.contains("ours"));
         assert!(conflict.theirs.contains("theirs"));
-        assert!(conflict.to_string().contains("`cell`"));
+        assert!(conflict.to_string().contains("`cell@r="));
         // Atomicity: the failed merge must not have touched the target —
         // not even with `other`'s non-conflicting, lower-sorting entry.
         assert_eq!(a.len(), 1);
-        assert!(!a.contains_key("aaa-sorts-first"));
+        assert!(!a.contains_key("aaa-sorts-first", 5));
+    }
+
+    #[test]
+    fn merge_conflicts_on_signed_zeros_and_nan_payloads() {
+        // Structurally these pairs are "the same number"; their encoded
+        // bytes are not, and byte-equality is the rule.
+        let feasible = |saving: f64| {
+            CellOutcome::Feasible(PlannedPoint {
+                buffer: DataSize::from_bits(1.0),
+                dominant: "E",
+                saving: Some(saving),
+                utilization: Ratio::from_fraction(0.5),
+                lifetime: Years::new(1.0),
+                energy_per_bit: None,
+            })
+        };
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
+        for (ours, theirs) in [(0.0, -0.0), (nan_a, nan_b)] {
+            let mut a = ResultCache::new();
+            a.insert("s", 1, feasible(ours));
+            let mut b = ResultCache::new();
+            b.insert("s", 1, feasible(theirs));
+            assert!(a.merge(&b).is_err(), "{ours:?} vs {theirs:?}");
+            // The same bits on both sides are duplicates, NaN included.
+            let mut c = ResultCache::new();
+            c.insert("s", 1, feasible(ours));
+            assert_eq!(a.merge(&c).unwrap().duplicates, 1);
+        }
     }
 
     #[test]
@@ -1446,15 +1462,19 @@ mod tests {
 
         let corrupt = temp_path("strict-corrupt.cache");
         let mut cache = ResultCache::new();
-        cache.insert("k".to_owned(), unmodelled("ok"));
-        cache.insert("l".to_owned(), unmodelled("broken"));
+        cache.insert("k", 1, unmodelled("ok"));
+        cache.insert("l", 1, unmodelled("broken"));
         cache.save(&corrupt).unwrap();
         let mut bytes = fs::read(&corrupt).unwrap();
-        corrupt_tag(&mut bytes, 1);
+        // The second block's only row: its tag sits a fixed distance
+        // from the end of the block, before the one detail (`broken`).
+        let index = bytes.len() - 8 - 2 * 8;
+        let tag = index - "broken".len() - 4 - crate::block::ROW_BYTES;
+        bytes[tag] = b'?';
         fs::write(&corrupt, &bytes).unwrap();
         match ResultCache::load_strict(&corrupt).unwrap_err() {
-            CacheFileError::Malformed { line } => assert_eq!(line, 3),
-            other => panic!("expected malformed line, got {other}"),
+            CacheFileError::Malformed { block } => assert_eq!(block, 1),
+            other => panic!("expected a malformed block, got {other}"),
         }
         fs::remove_file(corrupt).unwrap();
 
@@ -1465,8 +1485,8 @@ mod tests {
     }
 
     /// Files of another key generation (Debug-rendered keys, bare
-    /// `v1`/`v2` headers) or of the retired v1 text encoding must never
-    /// load as a silent total miss.
+    /// `v1`/`v2` headers) or of the retired v1 text and v2 record
+    /// encodings must never load as a silent total miss.
     #[test]
     fn old_generation_headers_are_refused_and_attributed() {
         let gen1_v1 = temp_path("gen1-v1.cache");
@@ -1481,10 +1501,13 @@ mod tests {
         fs::write(&gen1_v2, bytes).unwrap();
         let text_v1 = temp_path("k2-v1.cache");
         fs::write(&text_v1, "memstream-grid-cache v1 k2\nkind:1:x,w\tU\td\n").unwrap();
+        let records_v2 = temp_path("k2-v2.cache");
+        fs::write(&records_v2, v2_record_file()).unwrap();
         for (path, header) in [
             (&gen1_v1, "memstream-grid-cache v1"),
             (&gen1_v2, "memstream-grid-cache v2"),
             (&text_v1, "memstream-grid-cache v1 k2"),
+            (&records_v2, "memstream-grid-cache v2 k2"),
         ] {
             match ResultCache::load_strict(path).unwrap_err() {
                 CacheFileError::VersionMismatch { found } => assert_eq!(found, header),
@@ -1496,8 +1519,29 @@ mod tests {
             assert!(cache.needs_save());
             fs::remove_file(path).unwrap();
         }
-        assert_eq!(CACHE_HEADER, "memstream-grid-cache v2 k2");
-        assert_eq!(V2_MAGIC, format!("{CACHE_HEADER}\n").as_bytes());
+        assert_eq!(CACHE_HEADER, "memstream-grid-cache v3 k2");
+        assert_eq!(V3_MAGIC, format!("{CACHE_HEADER}\n").as_bytes());
+    }
+
+    /// A one-record file in the retired `v2 k2` record encoding: magic,
+    /// `u64` count, one `u32`-framed record (key string, `U` tag, detail
+    /// string), the record index and the trailer.
+    fn v2_record_file() -> Vec<u8> {
+        let mut bytes = b"memstream-grid-cache v2 k2\n".to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        let record_offset = bytes.len() as u64;
+        let mut body = Vec::new();
+        for (tag, s) in [(None, "k"), (Some(b'U'), "d")] {
+            body.extend(tag);
+            body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            body.extend_from_slice(s.as_bytes());
+        }
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let index_offset = bytes.len() as u64;
+        bytes.extend_from_slice(&record_offset.to_le_bytes());
+        bytes.extend_from_slice(&index_offset.to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -1520,10 +1564,7 @@ mod tests {
                 .unwrap();
             assert_eq!(warm.misses(), 0);
             assert!(!warm.needs_save(), "all-hit run");
-            warm.insert(
-                "new-key".into(),
-                CellOutcome::Unmodelled { detail: "d".into() },
-            );
+            warm.insert("new-series", 1, unmodelled("d"));
             assert!(warm.needs_save(), "an insert dirties the cache");
         }
 
@@ -1533,10 +1574,7 @@ mod tests {
         warm.merge(&cold).unwrap();
         assert!(!warm.needs_save());
         let mut extra = ResultCache::new();
-        extra.insert(
-            "zz-extra".into(),
-            CellOutcome::Unmodelled { detail: "d".into() },
-        );
+        extra.insert("zz-extra", 1, unmodelled("d"));
         warm.merge(&extra).unwrap();
         assert!(warm.needs_save());
         fs::remove_file(path).unwrap();
@@ -1544,49 +1582,57 @@ mod tests {
 
     #[test]
     fn a_load_that_dropped_damage_needs_its_save() {
-        // A v2 file with its index torn off loads its records leniently,
+        // A v3 file with its index torn off loads its blocks leniently,
         // but the file is not intact.
-        let v2 = temp_path("damaged-v2.cache");
+        let v3 = temp_path("damaged-v3.cache");
         let mut cache = ResultCache::new();
-        cache.insert("k".into(), CellOutcome::Unmodelled { detail: "d".into() });
-        cache.save(&v2).unwrap();
-        let bytes = fs::read(&v2).unwrap();
-        fs::write(&v2, &bytes[..bytes.len() - 16]).unwrap();
-        let cache = ResultCache::load_lazy(&v2).unwrap();
+        cache.insert("k", 1, unmodelled("d"));
+        cache.save(&v3).unwrap();
+        let bytes = fs::read(&v3).unwrap();
+        fs::write(&v3, &bytes[..bytes.len() - 16]).unwrap();
+        let cache = ResultCache::load_lazy(&v3).unwrap();
         assert_eq!(cache.len(), 1);
         assert!(cache.needs_save());
-        fs::remove_file(v2).unwrap();
+        fs::remove_file(v3).unwrap();
     }
 
-    /// A cache holding every outcome kind plus hostile keys/details:
-    /// tabs, newlines and backslashes travel unescaped in v2 strings.
+    /// Entries of the kinds a paper grid lacks, under hostile series
+    /// tokens and details: tabs, newlines, backslashes, `|` and `r=`
+    /// travel unescaped in v3 strings.
+    fn hostile_entries() -> Vec<(&'static str, u64, CellOutcome)> {
+        vec![
+            (
+                "key\twith\ttabs\nand\\newlines|r=1.0|",
+                7,
+                CellOutcome::Infeasible {
+                    region: "X",
+                    detail: "tab\there\nnewline\\backslash".to_owned(),
+                },
+            ),
+            ("unmodelled", 1, unmodelled("missing capability: wear")),
+            (
+                "energy-only",
+                1,
+                CellOutcome::EnergyOnly(EnergyOnlyPoint {
+                    break_even: Some(DataSize::from_kibibytes(3.5)),
+                    buffer_for_saving: None,
+                    saving: Some(0.5),
+                }),
+            ),
+        ]
+    }
+
+    /// A cache holding every outcome kind: a small paper grid plus
+    /// [`hostile_entries`].
     fn hostile_cache() -> ResultCache {
         let grid = ScenarioGrid::paper_baseline(4);
         let mut cache = ResultCache::new();
         GridExecutor::serial()
             .explore_cached(&grid, &mut cache)
             .unwrap();
-        cache.insert(
-            "key\twith\ttabs\nand\\newlines".to_owned(),
-            CellOutcome::Infeasible {
-                region: "X",
-                detail: "tab\there\nnewline\\backslash".to_owned(),
-            },
-        );
-        cache.insert(
-            "unmodelled".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "missing capability: wear".to_owned(),
-            },
-        );
-        cache.insert(
-            "energy-only".to_owned(),
-            CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                break_even: Some(DataSize::from_kibibytes(3.5)),
-                buffer_for_saving: None,
-                saving: Some(0.5),
-            }),
-        );
+        for (series, rate, outcome) in hostile_entries() {
+            cache.insert(series, rate, outcome);
+        }
         cache
     }
 
@@ -1595,38 +1641,42 @@ mod tests {
         let path = temp_path("view-hits.cache");
         hostile_cache().save(&path).unwrap();
         let eager = ResultCache::load_strict(&path).unwrap();
-        let keys: Vec<String> = eager.keys().map(str::to_owned).collect();
+        let keys: Vec<(String, u64)> = eager.keys().map(|(s, r)| (s.to_owned(), r)).collect();
         let metrics = Metrics::enabled();
-        let decoded = || {
-            metrics
-                .snapshot()
-                .counter("cache.records_decoded")
-                .unwrap_or(0)
-        };
+        let counter = |name: &str| metrics.snapshot().counter(name).unwrap_or(0);
         let mut lazy = ResultCache::load_lazy(&path).unwrap();
         lazy.set_metrics(&metrics);
         let len = lazy.len();
         assert_eq!(len, keys.len());
 
-        assert!(keys.iter().all(|key| lazy.contains_key(key)));
-        assert_eq!(decoded(), 0, "index probes decode nothing");
+        assert!(keys.iter().all(|(s, r)| lazy.contains_key(s, *r)));
+        assert_eq!(
+            counter("cache.records_decoded"),
+            0,
+            "index probes decode nothing"
+        );
 
         let mut kinds = std::collections::HashSet::new();
-        for key in &keys {
-            let first = lazy.lookup(key).expect("every key hits");
-            let second = lazy.lookup(key).expect("and hits again");
-            assert_eq!(Some(&first), eager.get(key).as_ref(), "drift under {key:?}");
-            assert_eq!(first, second, "repeat lookups agree under {key:?}");
-            kinds.insert(std::mem::discriminant(&first));
+        let mut found = Vec::new();
+        for (series, rate) in &keys {
+            found.clear();
+            lazy.lookup_series(series, &[*rate, *rate], &mut found);
+            let [Some(first), Some(second)] = &found[..] else {
+                panic!("every key hits twice under {series:?}");
+            };
+            assert_eq!(Some(first), eager.get(series, *rate).as_ref(), "{series:?}");
+            assert_eq!(first, second, "repeat lookups agree under {series:?}");
+            kinds.insert(std::mem::discriminant(first));
         }
         assert_eq!(kinds.len(), 4, "every outcome kind went through a view hit");
         assert!(
-            keys.iter().any(|key| key.contains('\t')),
+            keys.iter().any(|(s, _)| s.contains('\t')),
             "hostile key covered"
         );
         assert_eq!((lazy.hits(), lazy.misses()), (2 * keys.len(), 0));
+        assert_eq!(counter("cache.hits"), 2 * keys.len() as u64);
         assert_eq!(
-            decoded(),
+            counter("cache.records_decoded"),
             2 * keys.len() as u64,
             "one in-place decode per hit, nothing memoized"
         );
@@ -1634,13 +1684,15 @@ mod tests {
         assert_eq!(lazy.len(), len);
         assert!(!lazy.needs_save(), "an all-hit pass changes nothing");
 
-        // A caller that re-reads cells asks for each record to decode once.
+        // A caller that re-reads cells asks for each row to decode once.
         let metrics = Metrics::enabled();
         let mut kept = ResultCache::load_lazy(&path).unwrap();
         kept.set_metrics(&metrics);
         kept.keep_decoded();
-        for key in keys.iter().chain(&keys) {
-            assert_eq!(kept.lookup(key), eager.get(key));
+        for (series, rate) in keys.iter().chain(&keys) {
+            found.clear();
+            kept.lookup_series(series, &[*rate], &mut found);
+            assert_eq!(found[0], eager.get(series, *rate));
         }
         let snapshot = metrics.snapshot();
         assert_eq!(
@@ -1654,20 +1706,25 @@ mod tests {
 
     #[test]
     fn v2_save_load_round_trips_in_both_readers() {
-        let path = temp_path("v2-roundtrip.cache");
+        // (Named for the retired v2 encoding; exercises its successor.)
+        let path = temp_path("v3-roundtrip.cache");
         let cache = hostile_cache();
         cache.save(&path).unwrap();
         assert!(
-            fs::read(&path).unwrap().starts_with(V2_MAGIC),
-            "v2 files carry the sniffable magic"
+            fs::read(&path).unwrap().starts_with(V3_MAGIC),
+            "v3 files carry the sniffable magic"
         );
         for loaded in [
             ResultCache::load_lazy(&path).unwrap(),
             ResultCache::load_strict(&path).unwrap(),
         ] {
             assert_eq!(loaded.len(), cache.len());
-            for key in cache.keys() {
-                assert_eq!(loaded.get(key), cache.get(key), "drift under key {key}");
+            for (series, rate) in cache.keys() {
+                assert_eq!(
+                    loaded.get(series, rate),
+                    cache.get(series, rate),
+                    "drift under {series:?}"
+                );
             }
         }
         fs::remove_file(path).unwrap();
@@ -1675,30 +1732,23 @@ mod tests {
 
     #[test]
     fn v2_lenient_load_keeps_the_prefix_of_a_truncated_file() {
-        let path = temp_path("v2-truncated.cache");
+        // (Named for the retired v2 encoding; exercises its successor.)
+        let path = temp_path("v3-truncated.cache");
         let mut cache = ResultCache::new();
-        for key in ["a", "b", "c"] {
-            cache.insert(
-                key.to_owned(),
-                CellOutcome::Unmodelled {
-                    detail: format!("detail {key}"),
-                },
-            );
+        for series in ["a", "b", "c"] {
+            cache.insert(series, 1, unmodelled(&format!("detail {series}")));
         }
         cache.save(&path).unwrap();
         let bytes = fs::read(&path).unwrap();
-        // Keep the magic, the count and the first record only.
-        let first_len = u32::from_le_bytes(
-            bytes[V2_MAGIC.len() + 8..V2_MAGIC.len() + 12]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        fs::write(&path, &bytes[..V2_MAGIC.len() + 8 + 4 + first_len]).unwrap();
+        // Keep the magic, the count and the first block only.
+        let start = V3_MAGIC.len() + 8;
+        let first_len = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize;
+        fs::write(&path, &bytes[..start + 4 + first_len]).unwrap();
 
         let lenient = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(lenient.len(), 1, "the intact prefix survives");
-        assert!(lenient.contains_key("a"), "records sort by key");
-        // Truncation tears off the record index entirely, so the strict
+        assert!(lenient.contains_key("a", 1), "blocks sort by series");
+        // Truncation tears off the block index entirely, so the strict
         // reader attributes the damage to the (garbage) trailer bytes.
         let len = fs::metadata(&path).unwrap().len();
         match ResultCache::load_strict(&path).unwrap_err() {
@@ -1709,14 +1759,61 @@ mod tests {
     }
 
     #[test]
+    fn every_prefix_of_a_small_file_is_refused_strictly_and_kept_leniently() {
+        // Neither reader may panic on any truncation. The strict reader
+        // refuses every proper prefix with an attributed error; the
+        // lenient reader keeps a prefix of the blocks — whole blocks,
+        // each exactly as saved.
+        let path = temp_path("every-prefix.cache");
+        let mut cache = ResultCache::new();
+        for (series, rate, outcome) in hostile_entries() {
+            cache.insert(series, rate, outcome);
+        }
+        cache.insert_series("s", (1..4).map(|r| (r, unmodelled("shared"))));
+        cache.save(&path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let reference = ResultCache::load_strict(&path).unwrap();
+        let series: Vec<&str> = reference.series_tokens();
+        for end in 0..bytes.len() {
+            fs::write(&path, &bytes[..end]).unwrap();
+            match ResultCache::load_strict(&path) {
+                Err(
+                    CacheFileError::VersionMismatch { .. }
+                    | CacheFileError::Malformed { .. }
+                    | CacheFileError::MalformedIndex { .. },
+                ) => {}
+                other => panic!("prefix of {end} bytes: {other:?}"),
+            }
+            let lenient = ResultCache::load_lazy(&path).unwrap();
+            let kept = lenient.series_tokens();
+            assert_eq!(kept[..], series[..kept.len()], "prefix of {end} bytes");
+            for s in kept {
+                let whole: Vec<(u64, Option<CellOutcome>)> = reference
+                    .series(s)
+                    .slots()
+                    .into_iter()
+                    .map(|(rate, _)| (rate, reference.get(s, rate)))
+                    .collect();
+                let got: Vec<(u64, Option<CellOutcome>)> = whole
+                    .iter()
+                    .map(|(rate, _)| (*rate, lenient.get(s, *rate)))
+                    .collect();
+                assert_eq!(got, whole, "block {s:?} at a prefix of {end} bytes");
+            }
+        }
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
     fn v2_strict_load_verifies_the_record_index() {
-        let path = temp_path("v2-bad-index.cache");
+        // (Named for the retired v2 encoding; exercises its successor.)
+        let path = temp_path("v3-bad-index.cache");
         hostile_cache().save(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        // The records themselves are intact: the lenient reader falls
-        // back to the record scan (which never consults the index) and
+        // The blocks themselves are intact: the lenient reader falls
+        // back to the block scan (which never consults the index) and
         // still loads everything.
         assert_eq!(
             ResultCache::load_lazy(&path).unwrap().len(),
@@ -1742,16 +1839,44 @@ mod tests {
         cache.save(&path).unwrap();
         let strict = ResultCache::load_strict(&path).unwrap();
         assert_eq!(strict.len(), cache.len());
-        for key in cache.keys() {
-            assert_eq!(strict.get(key), cache.get(key));
+        for (series, rate) in cache.keys() {
+            assert_eq!(strict.get(series, rate), cache.get(series, rate));
         }
         fs::remove_file(path).unwrap();
     }
 
-    fn unmodelled(detail: &str) -> CellOutcome {
-        CellOutcome::Unmodelled {
-            detail: detail.to_owned(),
+    #[test]
+    fn a_paper_grid_cache_costs_at_most_100_bytes_per_entry() {
+        // The size gate: one block per series stores each series token
+        // once and each distinct detail once per block.
+        let path = temp_path("size-gate.cache");
+        let grid = ScenarioGrid::paper_baseline(200);
+        let mut cache = ResultCache::new();
+        GridExecutor::parallel(2)
+            .explore_cached(&grid, &mut cache)
+            .unwrap();
+        cache.save(&path).unwrap();
+        let bytes = fs::metadata(&path).unwrap().len();
+        let per_entry = bytes as f64 / cache.len() as f64;
+        assert!(per_entry <= 100.0, "{per_entry:.1} B per entry");
+        fs::remove_file(path).unwrap();
+    }
+
+    fn block(series: &str, rates: &[u64]) -> SeriesBlock {
+        SeriesBlock {
+            series: series.to_owned(),
+            entries: rates
+                .iter()
+                .map(|&r| (r, unmodelled(&format!("{series}{r}"))))
+                .collect(),
         }
+    }
+
+    fn polled_keys(poll: &FlushPoll) -> Vec<(String, u64)> {
+        poll.blocks
+            .iter()
+            .flat_map(|b| b.entries.iter().map(|(r, _)| (b.series.clone(), *r)))
+            .collect()
     }
 
     #[test]
@@ -1760,31 +1885,32 @@ mod tests {
         let mut writer = CacheAppender::create(&path).unwrap();
         let mut reader = FlushReader::new(&path);
 
-        let (a, b, c) = (unmodelled("a"), unmodelled("b"), unmodelled("c"));
-        assert_eq!(writer.append([("a", &a), ("b", &b)]).unwrap(), 2);
+        assert_eq!(
+            writer
+                .append(&[block("a", &[2, 1]), block("b", &[1])])
+                .unwrap(),
+            3
+        );
         let poll = reader.poll().unwrap();
         assert!(!poll.damaged);
         assert_eq!(
-            poll.records
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect::<Vec<_>>(),
-            ["a", "b"]
+            polled_keys(&poll),
+            [("a".into(), 1), ("a".into(), 2), ("b".into(), 1)],
+            "a block's rates come back sorted"
         );
 
         // A second batch arrives only on the next poll — nothing is
         // returned twice.
-        assert_eq!(writer.append([("c", &c)]).unwrap(), 1);
+        assert_eq!(writer.append(&[block("a", &[3])]).unwrap(), 1);
         assert_eq!(writer.count(), 3);
         let poll = reader.poll().unwrap();
-        assert_eq!(poll.records.len(), 1);
-        assert_eq!(poll.records[0].0, "c");
-        assert!(reader.poll().unwrap().records.is_empty());
+        assert_eq!(polled_keys(&poll), [("a".into(), 3)]);
+        assert!(reader.poll().unwrap().blocks.is_empty());
 
         // The stream doubles as a lenient warm file but is rejected by
         // the strict interchange reader (no index — scratch only).
         let lenient = ResultCache::load_lazy(&path).unwrap();
-        assert_eq!(lenient.len(), 3);
+        assert_eq!(lenient.len(), 4);
         assert!(ResultCache::load_strict(&path).is_err());
         fs::remove_file(path).unwrap();
     }
@@ -1796,8 +1922,7 @@ mod tests {
         // not from the tailing reader, not from the lenient loader.
         let path = temp_path("flush-torn.cache");
         let mut writer = CacheAppender::create(&path).unwrap();
-        let (a, b) = (unmodelled("a"), unmodelled("b"));
-        writer.append([("a", &a), ("b", &b)]).unwrap();
+        writer.append(&[block("a", &[1, 2])]).unwrap();
         let mut torn = 64u32.to_le_bytes().to_vec();
         torn.extend_from_slice(&[0xAB; 7]);
         let mut raw = fs::OpenOptions::new().append(true).open(&path).unwrap();
@@ -1807,24 +1932,23 @@ mod tests {
         let mut reader = FlushReader::new(&path);
         let poll = reader.poll().unwrap();
         assert!(!poll.damaged, "a tear is not damage");
-        assert_eq!(poll.records.len(), 2);
+        assert_eq!(poll.entries(), 2);
         // The tear never completes: later polls stay empty and undamaged.
         let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
+        assert!(poll.blocks.is_empty() && !poll.damaged);
 
         let lenient = ResultCache::load_lazy(&path).unwrap();
-        assert_eq!(lenient.len(), 2, "count covers only committed records");
+        assert_eq!(lenient.len(), 2, "count covers only committed blocks");
         fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn flush_reader_resumes_once_a_partial_record_completes() {
         // The same byte split as a torn tail — but the writer is alive
-        // and finishes the record, so the reader must pick it up whole.
+        // and finishes the block, so the reader must pick it up whole.
         let path = temp_path("flush-resume.cache");
         let mut writer = CacheAppender::create(&path).unwrap();
-        let a = unmodelled("a");
-        writer.append([("a", &a)]).unwrap();
+        writer.append(&[block("a", &[1])]).unwrap();
         let full = fs::read(&path).unwrap();
 
         // Replay the file one byte at a time into a sibling path.
@@ -1835,10 +1959,9 @@ mod tests {
             fs::write(&partial, &full[..end]).unwrap();
             let poll = reader.poll().unwrap();
             assert!(!poll.damaged, "a growing file is never damage");
-            seen.extend(poll.records);
+            seen.extend(polled_keys(&poll));
         }
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, "a");
+        assert_eq!(seen, [("a".into(), 1)]);
         for p in [path, partial] {
             fs::remove_file(p).unwrap();
         }
@@ -1848,9 +1971,8 @@ mod tests {
     fn corrupt_flush_record_marks_the_stream_damaged_keeping_the_prefix() {
         let path = temp_path("flush-corrupt.cache");
         let mut writer = CacheAppender::create(&path).unwrap();
-        let a = unmodelled("a");
-        writer.append([("a", &a)]).unwrap();
-        // A complete but undecodable record: well-formed length, garbage
+        writer.append(&[block("a", &[1])]).unwrap();
+        // A complete but undecodable block: well-formed length, garbage
         // body.
         let mut garbage = 8u32.to_le_bytes().to_vec();
         garbage.extend_from_slice(&[0xAB; 8]);
@@ -1860,13 +1982,13 @@ mod tests {
 
         let mut reader = FlushReader::new(&path);
         let poll = reader.poll().unwrap();
-        assert!(poll.damaged, "a decodable-length garbage record is damage");
-        assert_eq!(poll.records.len(), 1, "the valid prefix is returned");
+        assert!(poll.damaged, "a decodable-length garbage block is damage");
+        assert_eq!(poll.entries(), 1, "the valid prefix is returned");
         // Damage is sticky: the writer appending more afterwards changes
         // nothing.
-        writer.append([("b", &a)]).unwrap();
+        writer.append(&[block("b", &[1])]).unwrap();
         let poll = reader.poll().unwrap();
-        assert!(poll.damaged && poll.records.is_empty());
+        assert!(poll.damaged && poll.blocks.is_empty());
         fs::remove_file(path).unwrap();
     }
 
@@ -1885,11 +2007,11 @@ mod tests {
         let _ = fs::remove_file(&path);
         let mut reader = FlushReader::new(&path);
         let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
+        assert!(poll.blocks.is_empty() && !poll.damaged);
         // A file shorter than the header is "not ready", not damage.
-        fs::write(&path, &V2_MAGIC[..4]).unwrap();
+        fs::write(&path, &V3_MAGIC[..4]).unwrap();
         let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
+        assert!(poll.blocks.is_empty() && !poll.damaged);
         fs::remove_file(path).unwrap();
     }
 }

@@ -43,6 +43,9 @@ pub struct GridExecutor {
 #[derive(Debug, Clone, Default)]
 struct ExecTelemetry {
     explore_span: SpanHandle,
+    plan_span: SpanHandle,
+    lookup_span: SpanHandle,
+    insert_span: SpanHandle,
     eval_span: SpanHandle,
     assemble_span: SpanHandle,
     frontier_span: SpanHandle,
@@ -74,6 +77,9 @@ impl ExecTelemetry {
         }
         ExecTelemetry {
             explore_span: metrics.span("grid.explore"),
+            plan_span: metrics.span("grid.plan"),
+            lookup_span: metrics.span("grid.lookup"),
+            insert_span: metrics.span("grid.insert"),
             eval_span: metrics.span("grid.eval"),
             assemble_span: metrics.span("grid.assemble"),
             frontier_span: metrics.span("grid.frontier"),
@@ -171,6 +177,17 @@ impl GridExecutor {
     pub fn explore(&self, grid: &ScenarioGrid) -> Result<GridResults, GridError> {
         let _explore = self.telemetry.explore_span.start();
         grid.check_axes()?;
+        let (_, job_cells, cell_to_job) = self.plan(grid);
+        let workers = self.threads.min(job_cells.len()).max(1);
+        let outcomes = self.evaluate_jobs(grid, &job_cells, workers);
+        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers))
+    }
+
+    /// Interns `grid`'s keys and plans its deduplicated jobs (the
+    /// `grid.plan` span): the interner, the unique job cells in
+    /// canonical order and each cell's job index.
+    fn plan(&self, grid: &ScenarioGrid) -> (KeyInterner, Vec<GridCell>, Vec<usize>) {
+        let _plan = self.telemetry.plan_span.start();
         let interner = KeyInterner::new(grid);
         let (job_cells, cell_to_job) = ResultStore::plan_with(grid, &interner);
         self.telemetry.cells_total.add(cell_to_job.len() as u64);
@@ -178,9 +195,7 @@ impl GridExecutor {
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
-        let workers = self.threads.min(job_cells.len()).max(1);
-        let outcomes = self.evaluate_jobs(grid, &job_cells, workers);
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers))
+        (interner, job_cells, cell_to_job)
     }
 
     /// Like [`GridExecutor::explore`], but resolves every job against
@@ -189,9 +204,9 @@ impl GridExecutor {
     /// exactly, the results — and every report rendered from them — are
     /// byte-identical to an uncached exploration.
     ///
-    /// Cache keys are interned [`crate::CellKey`]s resolved into one
-    /// reused string buffer; the canonical bytes match the legacy
-    /// [`ScenarioGrid::dedup_key`] exactly, so v1 cache files stay valid.
+    /// Jobs are resolved series by series: each series' cache block is
+    /// found once, then each job's rate bits are binary-searched in it
+    /// (see [`ResultCache`]). No per-cell key string is built.
     ///
     /// # Errors
     ///
@@ -203,42 +218,9 @@ impl GridExecutor {
     ) -> Result<GridResults, GridError> {
         let _explore = self.telemetry.explore_span.start();
         grid.check_axes()?;
-        let interner = KeyInterner::new(grid);
-        let (job_cells, cell_to_job) = ResultStore::plan_with(grid, &interner);
-        self.telemetry.cells_total.add(cell_to_job.len() as u64);
-        self.telemetry.cells_unique.add(job_cells.len() as u64);
-        self.telemetry
-            .interner_keys
-            .add(interner.interned_strings() as u64);
+        let (interner, job_cells, cell_to_job) = self.plan(grid);
         let workers = self.threads.min(job_cells.len()).max(1);
-
-        let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(job_cells.len());
-        let mut miss_slots: Vec<usize> = Vec::new();
-        let mut miss_cells: Vec<GridCell> = Vec::new();
-        let mut key_buf = String::new();
-        for (slot, cell) in job_cells.iter().enumerate() {
-            interner.resolve_into(interner.key(cell), &mut key_buf);
-            match cache.lookup(&key_buf) {
-                Some(outcome) => outcomes.push(Some(outcome)),
-                None => {
-                    outcomes.push(None);
-                    miss_slots.push(slot);
-                    miss_cells.push(*cell);
-                }
-            }
-        }
-
-        let fresh = self.evaluate_jobs(grid, &miss_cells, workers.min(miss_cells.len()).max(1));
-        cache.reserve(miss_cells.len());
-        for ((slot, cell), outcome) in miss_slots.into_iter().zip(&miss_cells).zip(fresh) {
-            cache.insert(interner.resolve(interner.key(cell)), outcome.clone());
-            outcomes[slot] = Some(outcome);
-        }
-
-        let outcomes: Vec<CellOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every job is cached or evaluated"))
-            .collect();
+        let (outcomes, _) = self.resolve_jobs(grid, &interner, &job_cells, cache, workers);
         Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers))
     }
 
@@ -248,28 +230,96 @@ impl GridExecutor {
     /// is the shard-worker primitive, which only needs the cache filled
     /// for the cells of its slice (see
     /// [`ScenarioGrid::unique_cells`](crate::ScenarioGrid::unique_cells)
-    /// for the canonical slicing domain).
-    pub fn resolve_cells(&self, grid: &ScenarioGrid, cells: &[GridCell], cache: &mut ResultCache) {
+    /// for the canonical slicing domain). Returns the freshly evaluated
+    /// cells and their outcomes, in `cells` order — what a worker
+    /// flushes.
+    pub fn resolve_cells(
+        &self,
+        grid: &ScenarioGrid,
+        cells: &[GridCell],
+        cache: &mut ResultCache,
+    ) -> Vec<(GridCell, CellOutcome)> {
         let _explore = self.telemetry.explore_span.start();
         self.telemetry.cells_total.add(cells.len() as u64);
-        let interner = KeyInterner::new(grid);
+        let interner = {
+            let _plan = self.telemetry.plan_span.start();
+            KeyInterner::new(grid)
+        };
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
-        let mut miss_cells: Vec<GridCell> = Vec::new();
-        let mut key_buf = String::new();
-        for cell in cells {
-            interner.resolve_into(interner.key(cell), &mut key_buf);
-            if cache.lookup(&key_buf).is_none() {
-                miss_cells.push(*cell);
+        let workers = self.threads.min(cells.len()).max(1);
+        let (mut outcomes, fresh) = self.resolve_jobs(grid, &interner, cells, cache, workers);
+        fresh
+            .into_iter()
+            .map(|slot| {
+                (
+                    cells[slot],
+                    std::mem::replace(&mut outcomes[slot], unresolved()),
+                )
+            })
+            .collect()
+    }
+
+    /// Resolves `jobs` against `cache` series by series (`grid.lookup`),
+    /// evaluates the misses, and inserts them series by series
+    /// (`grid.insert`). Returns every job's outcome, and the slots of
+    /// the freshly evaluated jobs in job order.
+    fn resolve_jobs(
+        &self,
+        grid: &ScenarioGrid,
+        interner: &KeyInterner,
+        jobs: &[GridCell],
+        cache: &mut ResultCache,
+        workers: usize,
+    ) -> (Vec<CellOutcome>, Vec<usize>) {
+        let lookup = self.telemetry.lookup_span.start();
+        // Job slots grouped by series id, each group in job order.
+        let mut by_series: Vec<Vec<usize>> = vec![Vec::new(); interner.series_count()];
+        for (slot, cell) in jobs.iter().enumerate() {
+            by_series[interner.series_id(cell)].push(slot);
+        }
+        // Every slot is overwritten below: by its hit, or by its miss's
+        // evaluation.
+        let mut outcomes = vec![unresolved(); jobs.len()];
+        let mut miss_slots: Vec<usize> = Vec::new();
+        let (mut rates, mut found) = (Vec::new(), Vec::new());
+        for (series, slots) in by_series.iter().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            rates.clear();
+            rates.extend(slots.iter().map(|&slot| interner.rate_bits(&jobs[slot])));
+            found.clear();
+            cache.lookup_series(interner.series_token(series), &rates, &mut found);
+            for (&slot, outcome) in slots.iter().zip(found.drain(..)) {
+                match outcome {
+                    Some(outcome) => outcomes[slot] = outcome,
+                    None => miss_slots.push(slot),
+                }
             }
         }
-        let workers = self.threads.min(miss_cells.len()).max(1);
-        let fresh = self.evaluate_jobs(grid, &miss_cells, workers);
-        cache.reserve(miss_cells.len());
-        for (cell, outcome) in miss_cells.iter().zip(fresh) {
-            cache.insert(interner.resolve(interner.key(cell)), outcome);
+        drop(lookup);
+        if miss_slots.is_empty() {
+            return (outcomes, miss_slots);
         }
+
+        miss_slots.sort_unstable();
+        let miss_cells: Vec<GridCell> = miss_slots.iter().map(|&slot| jobs[slot]).collect();
+        let fresh = self.evaluate_jobs(grid, &miss_cells, workers.min(miss_cells.len()).max(1));
+        let _insert = self.telemetry.insert_span.start();
+        let mut fresh_by_series: Vec<Vec<(u64, CellOutcome)>> =
+            vec![Vec::new(); interner.series_count()];
+        for (&slot, outcome) in miss_slots.iter().zip(fresh) {
+            let cell = &jobs[slot];
+            fresh_by_series[interner.series_id(cell)]
+                .push((interner.rate_bits(cell), outcome.clone()));
+            outcomes[slot] = outcome;
+        }
+        for (series, entries) in fresh_by_series.into_iter().enumerate() {
+            cache.insert_series(interner.series_token(series), entries);
+        }
+        (outcomes, miss_slots)
     }
 
     /// Evaluates `jobs` serially or fanned out, per `workers`, through
@@ -331,6 +381,14 @@ impl GridExecutor {
             frontier,
             workers,
         }
+    }
+}
+
+/// The placeholder a job slot holds until its outcome is resolved (no
+/// allocation, so pre-filling a vector with it is cheap).
+fn unresolved() -> CellOutcome {
+    CellOutcome::Unmodelled {
+        detail: String::new(),
     }
 }
 
@@ -535,6 +593,40 @@ mod tests {
             Some(results.pareto_frontier().len() as u64)
         );
         assert!(snapshot.span_seconds("grid.frontier").is_some());
+    }
+
+    #[test]
+    fn explore_children_cover_the_explore_span() {
+        // Cold and warm, plain and cached: the direct children of
+        // `grid.explore` (plan, lookup, eval, insert, assemble) must
+        // account for at least 90% of it.
+        let grid = ScenarioGrid::paper_baseline(200);
+        let mut cache = ResultCache::new();
+        for pass in ["explore", "cold", "warm"] {
+            let metrics = Metrics::enabled();
+            let executor = GridExecutor::parallel(2).with_metrics(&metrics);
+            cache.set_metrics(&metrics);
+            match pass {
+                "explore" => executor.explore(&grid).map(drop).unwrap(),
+                _ => executor
+                    .explore_cached(&grid, &mut cache)
+                    .map(drop)
+                    .unwrap(),
+            }
+            let snapshot = metrics.snapshot();
+            let span = |name: &str| snapshot.span_seconds(name).unwrap_or(0.0);
+            let explore = span("grid.explore");
+            let children: f64 = ["grid.plan", "grid.lookup", "grid.eval", "grid.insert"]
+                .iter()
+                .map(|name| span(name))
+                .sum::<f64>()
+                + span("grid.assemble");
+            assert!(
+                children >= 0.9 * explore,
+                "{pass}: children cover {children:.6} s of {explore:.6} s"
+            );
+        }
+        assert_eq!(cache.hits(), grid.len());
     }
 
     #[test]

@@ -9,11 +9,19 @@
 //! they share a dedup key), and hands out [`CellKey`] identifiers — four
 //! `u32` class indices — that are `Eq`/`Hash` in a few machine words.
 //!
-//! Canonical strings are materialised only at cache-file and report
-//! boundaries via [`KeyInterner::resolve`], which concatenates the
-//! pre-formatted fragments and is **byte-identical** to
-//! [`ScenarioGrid::dedup_key`] for every cell (the equivalence suite in
-//! `crates/grid/tests/key_equivalence.rs` pins this).
+//! The result cache keys a cell by its **series** — device, workload,
+//! goal and the grid-wide suffix, everything but the rate — and the rate's
+//! `f64` bits. The interner numbers the series once per grid
+//! ([`KeyInterner::series_id`]) and formats each series token once
+//! ([`KeyInterner::series_token`]), so a cache lookup resolves a series
+//! once and then compares rate bits; no per-cell key string is built.
+//!
+//! Full canonical strings are materialised only at report boundaries via
+//! [`KeyInterner::resolve`], which concatenates the pre-formatted
+//! fragments and is **byte-identical** to [`ScenarioGrid::dedup_key`] for
+//! every cell (the equivalence suite in
+//! `crates/grid/tests/key_equivalence.rs` pins this). [`split_dedup_key`]
+//! and [`render_cache_key`] convert between the two forms.
 
 use std::collections::HashMap;
 
@@ -46,6 +54,12 @@ pub struct KeyInterner {
     goal_fragments: Vec<String>,
     /// The grid-wide `dram=…|pol=…` tail shared by every key.
     suffix: String,
+    /// The `f64` bits of each rate-axis entry: the rate half of a cache
+    /// key.
+    rate_bits: Vec<u64>,
+    /// The series token of each series id (device, workload and goal
+    /// class, goal innermost): the series half of a cache key.
+    series_tokens: Vec<String>,
 }
 
 /// Maps each axis entry to a class id by fragment string equality,
@@ -80,6 +94,15 @@ impl KeyInterner {
         );
         let (rate_class, rate_fragments) = classify(grid.rates().iter().copied().map(rate_key));
         let (goal_class, goal_fragments) = classify(grid.goals().iter().map(goal_key));
+        let suffix = grid_key_suffix(grid.dram_enabled(), grid.best_effort_policy());
+        let mut series_tokens = Vec::new();
+        for device in &device_fragments {
+            for workload in &workload_fragments {
+                for goal in &goal_fragments {
+                    series_tokens.push(format!("{device}|{workload}|{goal}|{suffix}"));
+                }
+            }
+        }
         KeyInterner {
             device_class,
             workload_class,
@@ -89,8 +112,55 @@ impl KeyInterner {
             workload_fragments,
             rate_fragments,
             goal_fragments,
-            suffix: grid_key_suffix(grid.dram_enabled(), grid.best_effort_policy()),
+            suffix,
+            rate_bits: grid
+                .rates()
+                .iter()
+                .map(|rate| rate.bits_per_second().to_bits())
+                .collect(),
+            series_tokens,
         }
+    }
+
+    /// Number of series ids: the product of the device, workload and
+    /// goal class counts.
+    #[must_use]
+    pub fn series_count(&self) -> usize {
+        self.series_tokens.len()
+    }
+
+    /// The series id of `cell`: a dense index over its device, workload
+    /// and goal classes. Cells share a series id iff their dedup keys
+    /// agree everywhere but the rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell`'s axis indices are out of range for the grid the
+    /// interner was built from.
+    #[must_use]
+    pub fn series_id(&self, cell: &GridCell) -> usize {
+        let [_, w, _, g] = self.class_counts();
+        (self.device_class[cell.device] as usize * w + self.workload_class[cell.workload] as usize)
+            * g
+            + self.goal_class[cell.goal] as usize
+    }
+
+    /// The series token of series `id`:
+    /// `device|workload|goal|dram=…|pol=…` — the dedup key without its
+    /// rate fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.series_count()`.
+    #[must_use]
+    pub fn series_token(&self, id: usize) -> &str {
+        &self.series_tokens[id]
+    }
+
+    /// The `f64` bits of `cell`'s rate, in bits per second.
+    #[must_use]
+    pub fn rate_bits(&self, cell: &GridCell) -> u64 {
+        self.rate_bits[cell.rate]
     }
 
     /// The interned key of `cell` — pure index arithmetic.
@@ -189,6 +259,40 @@ impl KeyInterner {
     }
 }
 
+/// Splits a canonical dedup key ([`ScenarioGrid::dedup_key`]) into its
+/// cache key: the series token and the rate's `f64` bits. Parses from the
+/// right — the workload, rate, goal and suffix fragments hold no `|`, so
+/// a device token may hold anything. `None` if `key` is not canonical.
+#[must_use]
+pub fn split_dedup_key(key: &str) -> Option<(String, u64)> {
+    let mut fields = key.rsplitn(5, '|');
+    let (policy, dram, goal, rate, head) = (
+        fields.next()?,
+        fields.next()?,
+        fields.next()?,
+        fields.next()?,
+        fields.next()?,
+    );
+    let bits = rate.strip_prefix("r=")?.parse::<f64>().ok()?.to_bits();
+    Some((format!("{head}|{goal}|{dram}|{policy}"), bits))
+}
+
+/// Renders a cache key as its canonical dedup key, re-inserting the rate
+/// fragment; the inverse of [`split_dedup_key`]. A series token that is
+/// not of the canonical shape renders as `series@r=rate`.
+#[must_use]
+pub fn render_cache_key(series: &str, rate_bits: u64) -> String {
+    // `rate_key`'s rendering, without its non-negative `BitRate`.
+    let rate = format!("r={:?}", f64::from_bits(rate_bits));
+    let mut fields = series.rsplitn(4, '|');
+    match (fields.next(), fields.next(), fields.next(), fields.next()) {
+        (Some(policy), Some(dram), Some(goal), Some(head)) => {
+            format!("{head}|{rate}|{goal}|{dram}|{policy}")
+        }
+        _ => format!("{series}@{rate}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +348,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn series_keys_split_and_render_the_dedup_key() {
+        let grid = ScenarioGrid::paper_baseline(4);
+        let interner = KeyInterner::new(&grid);
+        for cell in grid.cells() {
+            let key = grid.dedup_key(&cell);
+            let series = interner.series_token(interner.series_id(&cell));
+            let rate = interner.rate_bits(&cell);
+            assert_eq!(split_dedup_key(&key), Some((series.to_owned(), rate)));
+            assert_eq!(render_cache_key(series, rate), key);
+        }
+        assert_eq!(split_dedup_key("not a key"), None);
+        assert_eq!(render_cache_key("s", 0), "s@r=0.0");
     }
 
     #[test]

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block;
 mod cache;
 mod eval;
 mod exec;
@@ -60,8 +61,8 @@ mod validate;
 mod view;
 
 pub use cache::{
-    CacheAppender, CacheConflict, CacheFileError, CacheFormat, FlushPoll, FlushReader, MergeStats,
-    ResultCache, CACHE_HEADER,
+    CacheAppender, CacheConflict, CacheFileError, CacheFormat, CachedSeries, FlushPoll,
+    FlushReader, MergeStats, ResultCache, SeriesBlock, CACHE_HEADER,
 };
 pub use view::CacheView;
 // The instrumentation layer, re-exported so downstream crates (refine,
@@ -69,7 +70,7 @@ pub use view::CacheView;
 // executor without naming the telemetry crate themselves.
 pub use eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 pub use exec::{GridExecutor, GridResults};
-pub use key::{CellKey, KeyInterner};
+pub use key::{render_cache_key, split_dedup_key, CellKey, KeyInterner};
 pub use memstream_telemetry as telemetry;
 pub use memstream_telemetry::Metrics;
 pub use spec::{DeviceEntry, GridCell, GridError, ScenarioGrid, WorkloadProfile};

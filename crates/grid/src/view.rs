@@ -1,25 +1,21 @@
-//! Lazy, index-backed reading of v2 cache files (`docs/CACHE_FORMAT.md`
-//! § "Record index and lazy decode").
+//! Lazy, index-backed reading of v3 cache files (`docs/CACHE_FORMAT.md`
+//! § "Block index and lazy decode").
 //!
-//! A [`CacheView`] holds the raw file bytes plus the validated record
+//! A [`CacheView`] holds the raw file bytes plus the validated block
 //! index and nothing else: opening one reads the magic, the count, the
 //! trailing index and the trailer, checks that they agree with each
-//! other and with the record framing, and stops — **no record payload is
-//! decoded**. Key probes binary-search the index (keys are stored in
-//! strictly ascending byte order, so raw-byte comparison is exact), and
-//! a hit decodes only its record's outcome, in place from the recorded
-//! offset: the key bytes are skipped and nothing is kept, so a cell
-//! looked up twice decodes twice. This is what makes a warm start
-//! proportional to the work actually requested instead of the cache
-//! size: a fully-warm exploration that only *plans* against the cache
-//! touches the index alone, and a fully-warm run decodes one outcome
-//! per hit. v2 is the only cache encoding, so this is the read path of
-//! every `--cache` re-run.
+//! other and with the block framing, checks each block's structure, and
+//! stops — **no outcome row is decoded**. A lookup finds its series'
+//! block by one binary search over the (strictly ascending) series
+//! tokens, then its row by a binary search over that block's rate
+//! column, and a hit decodes only that row, in place. A warm start is
+//! therefore proportional to the work actually requested, not to the
+//! cache size.
 //!
 //! The validation performed by [`CacheView::open`] is the strict
 //! loader's structural pass ([`ResultCache::load_strict`](crate::ResultCache::load_strict)
-//! opens a view, then decodes every record): a view is only ever
-//! constructed over a file whose index provably describes its records.
+//! opens a view, then decodes every row): a view is only ever
+//! constructed over a file whose index provably describes its blocks.
 //! Consequently an unmodified view can be re-saved *verbatim* —
 //! byte-for-byte — without decoding, which
 //! [`ResultCache::save`](crate::ResultCache::save) exploits for warm-run
@@ -29,27 +25,14 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::cache::{decode_outcome, CacheFileError, V2_MAGIC};
+use crate::block::{frame_at, Block, BlockMeta, Frame};
+use crate::cache::{CacheFileError, V3_MAGIC};
 use crate::eval::CellOutcome;
-
-/// Reads a little-endian `u32` at `pos`, if the file holds one there.
-fn u32_at(bytes: &[u8], pos: usize) -> Option<u32> {
-    let slice = bytes.get(pos..pos.checked_add(4)?)?;
-    Some(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-}
 
 /// Reads a little-endian `u64` at `pos`, if the file holds one there.
 fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
     let slice = bytes.get(pos..pos.checked_add(8)?)?;
     Some(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
-}
-
-/// The body slice (everything after the `u32` length prefix) of the
-/// record starting at `offset`. Only valid for offsets produced by
-/// [`validate_v2`] over the same bytes.
-pub(crate) fn record_body(bytes: &[u8], offset: usize) -> &[u8] {
-    let len = u32_at(bytes, offset).expect("validated record offset") as usize;
-    &bytes[offset + 4..offset + 4 + len]
 }
 
 /// The first line of a file, rendered lossily: how a refused file's
@@ -59,37 +42,38 @@ pub(crate) fn header_line(bytes: &[u8]) -> String {
     String::from_utf8_lossy(first).into_owned()
 }
 
-/// The raw key bytes of a record body (`u32 length + UTF-8`), if the
-/// framing is intact.
-fn body_key(body: &[u8]) -> Option<&[u8]> {
-    let len = u32_at(body, 0)? as usize;
-    body.get(4..4usize.checked_add(len)?)
+/// One validated block of a view: where its body sits in the file, its
+/// column layout, and the file-wide ordinal of its first row.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexedBlock {
+    body: std::ops::Range<usize>,
+    meta: BlockMeta,
+    first_row: usize,
 }
 
-/// Structurally validates a v2 cache file (`bytes` starts with the v2
-/// magic) and returns the byte offset of every record, in file order.
+/// Structurally validates a v3 cache file (`bytes` starts with the v3
+/// magic) and returns its blocks, in file order.
 ///
 /// Checked, in order: the count field is readable; the trailer points at
-/// an index of exactly `count` entries sitting between the records and
-/// the trailer; every index entry equals the offset where the record
-/// framing actually puts that record (records are contiguous — no gaps,
-/// no overlap, none past the index); every record's key is readable
-/// UTF-8 and the keys are strictly ascending. Record *payloads* are not
+/// an index of exactly `count` entries sitting between the blocks and
+/// the trailer; every index entry equals the offset where the framing
+/// actually puts that block (blocks are contiguous — no gaps, no
+/// overlap, none past the index); every block is structurally valid
+/// and the series tokens are strictly ascending. Outcome rows are not
 /// decoded — that is the entire point of the lazy path.
 ///
 /// # Errors
 ///
 /// [`CacheFileError::MalformedIndex`] at the byte offset of the damaged
 /// structure (count, trailer, or index entry), or
-/// [`CacheFileError::Malformed`] for a record whose key framing is
-/// broken or out of order (attributed like the strict record decoders:
-/// `record ordinal + 2`).
-pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
-    debug_assert!(bytes.starts_with(V2_MAGIC));
-    let header_end = V2_MAGIC.len() + 8;
-    let Some(count) = u64_at(bytes, V2_MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
+/// [`CacheFileError::Malformed`] for a block whose body is invalid or
+/// out of order.
+pub(crate) fn validate_v3(bytes: &[u8]) -> Result<Vec<IndexedBlock>, CacheFileError> {
+    debug_assert!(bytes.starts_with(V3_MAGIC));
+    let header_end = V3_MAGIC.len() + 8;
+    let Some(count) = u64_at(bytes, V3_MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
         return Err(CacheFileError::MalformedIndex {
-            offset: V2_MAGIC.len() as u64,
+            offset: V3_MAGIC.len() as u64,
         });
     };
     if bytes.len() < header_end + 8 {
@@ -110,10 +94,11 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
         });
     }
     let index_offset = expected_index.expect("checked above");
+    let records = &bytes[..index_offset];
 
-    let mut offsets = Vec::with_capacity(count);
+    let mut blocks: Vec<IndexedBlock> = Vec::with_capacity(count);
     let mut cursor = header_end;
-    let mut prev_key: Option<&[u8]> = None;
+    let mut rows = 0usize;
     for ordinal in 0..count {
         let entry_pos = index_offset + 8 * ordinal;
         let recorded = u64_at(bytes, entry_pos).expect("index bounds checked");
@@ -122,158 +107,184 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
                 offset: entry_pos as u64,
             });
         }
-        let body_end = u32_at(bytes, cursor)
-            .and_then(|len| cursor.checked_add(4)?.checked_add(len as usize))
-            .filter(|&end| end <= index_offset);
-        let Some(body_end) = body_end else {
-            // The framed record runs past the index (or off the file):
-            // the index entry points at something that is not a record.
-            return Err(CacheFileError::MalformedIndex {
-                offset: entry_pos as u64,
-            });
+        let (meta, body) = match frame_at(records, cursor) {
+            Frame::Block(meta, body) => (meta, body),
+            // The frame runs past the index (or off the file): the
+            // index entry points at something that is not a block.
+            Frame::Incomplete => {
+                return Err(CacheFileError::MalformedIndex {
+                    offset: entry_pos as u64,
+                })
+            }
+            Frame::Damaged => return Err(CacheFileError::Malformed { block: ordinal }),
         };
-        let key = body_key(&bytes[cursor + 4..body_end])
-            .filter(|key| std::str::from_utf8(key).is_ok())
-            .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
-        if prev_key.is_some_and(|prev| prev >= key) {
-            return Err(CacheFileError::Malformed { line: ordinal + 2 });
+        let block = Block::new(&bytes[body.clone()], meta);
+        if let Some(prev) = blocks.last() {
+            let prev = Block::new(&bytes[prev.body.clone()], prev.meta);
+            if prev.series_bytes() >= block.series_bytes() {
+                return Err(CacheFileError::Malformed { block: ordinal });
+            }
         }
-        prev_key = Some(key);
-        offsets.push(cursor);
-        cursor = body_end;
+        cursor = body.end;
+        blocks.push(IndexedBlock {
+            body,
+            meta,
+            first_row: rows,
+        });
+        rows += block.len();
     }
     if cursor != index_offset {
-        // Slack bytes between the last record and the index.
+        // Slack bytes between the last block and the index.
         return Err(CacheFileError::MalformedIndex {
             offset: index_offset as u64,
         });
     }
-    Ok(offsets)
+    Ok(blocks)
 }
 
-/// A lazy, read-only view of a v2 cache file: the raw bytes plus the
-/// validated record index. See the module docs for the contract.
+/// A lazy, read-only view of a v3 cache file: the raw bytes plus the
+/// validated block index. See the module docs for the contract.
 ///
 /// ```
-/// use memstream_grid::{CacheView, ResultCache};
+/// use memstream_grid::{CacheView, CellOutcome, ResultCache};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dir = std::env::temp_dir().join(format!("memstream-view-doc-{}", std::process::id()));
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("view.cache");
 /// let mut cache = ResultCache::new();
-/// cache.insert("cell-a".into(), memstream_grid::CellOutcome::Unmodelled {
-///     detail: "doc".into(),
-/// });
+/// let rate = 1024.0f64.to_bits();
+/// cache.insert("series-a", rate, CellOutcome::Unmodelled { detail: "doc".into() });
 /// cache.save(&path)?;
 ///
 /// let view = CacheView::open(&path)?;
 /// assert_eq!(view.len(), 1);
-/// assert!(view.contains_key("cell-a")); // index probe, no decode
-/// assert!(view.get("cell-a").is_some()); // decodes exactly one record
+/// assert!(view.contains_key("series-a", rate)); // index probe, no decode
+/// assert!(view.get("series-a", rate).is_some()); // decodes exactly one row
 /// # std::fs::remove_file(&path)?;
 /// # Ok(())
 /// # }
 /// ```
 pub struct CacheView {
     bytes: Vec<u8>,
-    offsets: Vec<usize>,
+    blocks: Vec<IndexedBlock>,
+    rows: usize,
 }
 
 impl fmt::Debug for CacheView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheView")
-            .field("records", &self.offsets.len())
+            .field("blocks", &self.blocks.len())
+            .field("rows", &self.rows)
             .field("file_bytes", &self.bytes.len())
             .finish()
     }
 }
 
+/// A block of a view, with the file-wide ordinal of its first row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ViewBlock<'a> {
+    pub(crate) block: Block<'a>,
+    pub(crate) first_row: usize,
+}
+
 impl CacheView {
-    /// Opens a v2 cache file lazily: reads the bytes, validates the
-    /// structure (magic, count, index, trailer, record framing, key
-    /// order) and decodes **nothing**.
+    /// Opens a v3 cache file lazily: reads the bytes, validates the
+    /// structure (magic, count, index, trailer, block framing, series
+    /// and rate order) and decodes **nothing**.
     ///
     /// # Errors
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not
     /// found"), [`CacheFileError::VersionMismatch`] if the file does not
-    /// carry the v2 magic, and [`CacheFileError::MalformedIndex`] /
+    /// carry the v3 magic, and [`CacheFileError::MalformedIndex`] /
     /// [`CacheFileError::Malformed`] attributions for structural damage
     /// (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
         let bytes = fs::read(path)?;
-        if !bytes.starts_with(V2_MAGIC) {
+        if !bytes.starts_with(V3_MAGIC) {
             return Err(CacheFileError::VersionMismatch {
                 found: header_line(&bytes),
             });
         }
-        let offsets = validate_v2(&bytes)?;
-        Ok(CacheView { bytes, offsets })
+        let blocks = validate_v3(&bytes)?;
+        Ok(CacheView::from_validated(bytes, blocks))
     }
 
-    /// Wraps already-validated bytes (offsets must come from
-    /// [`validate_v2`] over the same buffer).
-    pub(crate) fn from_validated(bytes: Vec<u8>, offsets: Vec<usize>) -> Self {
-        CacheView { bytes, offsets }
+    /// Wraps already-validated bytes (`blocks` must come from
+    /// [`validate_v3`] over the same buffer).
+    pub(crate) fn from_validated(bytes: Vec<u8>, blocks: Vec<IndexedBlock>) -> Self {
+        let rows = blocks.last().map_or(0, |b| b.first_row + b.meta.len());
+        CacheView {
+            bytes,
+            blocks,
+            rows,
+        }
     }
 
-    /// Number of records in the file (from the validated index).
+    /// Number of entries (rows over all blocks).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.rows
     }
 
-    /// Whether the file holds no records.
+    /// Whether the file holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.rows == 0
     }
 
-    /// Binary-searches the index for `key`, returning its record
-    /// ordinal. Compares raw key bytes — exact, because v2 stores keys
-    /// in strictly ascending byte order.
-    pub(crate) fn find(&self, key: &str) -> Option<usize> {
-        self.offsets
-            .binary_search_by(|&offset| {
-                body_key(record_body(&self.bytes, offset))
-                    .expect("validated key framing")
-                    .cmp(key.as_bytes())
+    fn at(&self, i: usize) -> ViewBlock<'_> {
+        let indexed = &self.blocks[i];
+        ViewBlock {
+            block: Block::new(&self.bytes[indexed.body.clone()], indexed.meta),
+            first_row: indexed.first_row,
+        }
+    }
+
+    /// The block of `series`: one binary search over the series tokens,
+    /// compared as raw bytes (exact, because they are stored strictly
+    /// ascending).
+    pub(crate) fn block(&self, series: &str) -> Option<ViewBlock<'_>> {
+        let i = self
+            .blocks
+            .binary_search_by(|indexed| {
+                Block::new(&self.bytes[indexed.body.clone()], indexed.meta)
+                    .series_bytes()
+                    .cmp(series.as_bytes())
             })
-            .ok()
+            .ok()?;
+        Some(self.at(i))
     }
 
-    /// Whether `key` is present — an index probe, no decode.
+    /// Every block, in file (series token) order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = ViewBlock<'_>> + '_ {
+        (0..self.blocks.len()).map(|i| self.at(i))
+    }
+
+    /// Whether (`series`, `rate_bits`) is present — index probes, no
+    /// decode.
     #[must_use]
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.find(key).is_some()
+    pub fn contains_key(&self, series: &str, rate_bits: u64) -> bool {
+        self.block(series)
+            .is_some_and(|b| b.block.find(rate_bits).is_some())
     }
 
-    /// Decodes the outcome of the record at `ordinal` in place: the key
-    /// bytes are skipped, no key `String` is built. `None` if the
-    /// payload is malformed — structural validation does not cover
-    /// payloads.
-    pub(crate) fn outcome_at(&self, ordinal: usize) -> Option<CellOutcome> {
-        decode_outcome(record_body(&self.bytes, self.offsets[ordinal]))
-    }
-
-    /// Decodes the outcome stored under `key`, if present and well
-    /// formed. Exactly one record's outcome is decoded.
+    /// Decodes the outcome stored under (`series`, `rate_bits`), if
+    /// present and well formed. Exactly one row is decoded.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        self.outcome_at(self.find(key)?)
+    pub fn get(&self, series: &str, rate_bits: u64) -> Option<CellOutcome> {
+        let b = self.block(series)?;
+        b.block.outcome(b.block.find(rate_bits)?)
     }
 
-    /// The key at `ordinal`, straight from the file bytes (no decode).
-    pub(crate) fn key_at(&self, ordinal: usize) -> &str {
-        let key = body_key(record_body(&self.bytes, self.offsets[ordinal]))
-            .expect("validated key framing");
-        std::str::from_utf8(key).expect("validated UTF-8 key")
-    }
-
-    /// Iterates the keys in file order (which is sorted order).
-    pub fn keys(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.offsets.len()).map(|ordinal| self.key_at(ordinal))
+    /// Iterates the keys in file order (series, then rate bits,
+    /// ascending).
+    pub fn keys(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.blocks().flat_map(|b| {
+            let series = b.block.series();
+            (0..b.block.len()).map(move |i| (series, b.block.rate(i)))
+        })
     }
 
     /// The raw file bytes the view was opened over — the verbatim
@@ -295,13 +306,15 @@ mod tests {
         dir.join(name)
     }
 
-    fn fixture(keys: &[&str]) -> ResultCache {
+    /// One entry per series token, all at rate bits 7.
+    fn fixture(series: &[&str]) -> ResultCache {
         let mut cache = ResultCache::new();
-        for key in keys {
+        for s in series {
             cache.insert(
-                (*key).to_owned(),
+                s,
+                7,
                 CellOutcome::Unmodelled {
-                    detail: format!("detail {key}"),
+                    detail: format!("detail {s}"),
                 },
             );
         }
@@ -315,13 +328,17 @@ mod tests {
         cache.save(&path).unwrap();
         let view = CacheView::open(&path).unwrap();
         assert_eq!(view.len(), 3);
-        assert_eq!(view.keys().collect::<Vec<_>>(), ["alpha", "beta", "gamma"]);
-        for key in ["alpha", "beta", "gamma"] {
-            assert!(view.contains_key(key));
-            assert_eq!(view.get(key), cache.get(key), "drift under {key}");
+        assert_eq!(
+            view.keys().collect::<Vec<_>>(),
+            [("alpha", 7), ("beta", 7), ("gamma", 7)]
+        );
+        for s in ["alpha", "beta", "gamma"] {
+            assert!(view.contains_key(s, 7));
+            assert!(!view.contains_key(s, 8));
+            assert_eq!(view.get(s, 7), cache.get(s, 7), "drift under {s}");
         }
-        assert!(!view.contains_key("delta"));
-        assert!(view.get("delta").is_none());
+        assert!(!view.contains_key("delta", 7));
+        assert!(view.get("delta", 7).is_none());
         fs::remove_file(path).unwrap();
     }
 
@@ -342,7 +359,7 @@ mod tests {
 
     #[test]
     fn torn_index_is_attributed_by_byte_offset() {
-        // Truncating mid-index leaves intact records but a trailer that
+        // Truncating mid-index leaves intact blocks but a trailer that
         // can no longer describe an index of `count` entries.
         let path = temp_path("view-torn-index.cache");
         fixture(&["a", "b", "c"]).save(&path).unwrap();
@@ -380,25 +397,23 @@ mod tests {
 
     #[test]
     fn out_of_order_keys_are_attributed_to_the_record() {
-        // Swap two records *and* their index entries: framing stays
-        // coherent, but the sort invariant binary search relies on is
-        // gone — the view must refuse.
+        // Swap two blocks *and* their index entries: framing stays
+        // coherent, but the series order the block search relies on is
+        // gone — the view must refuse, naming the second block.
         let path = temp_path("view-unsorted.cache");
-        let a = fixture(&["aa"]);
-        let b = fixture(&["bb"]);
         let (pa, pb) = (temp_path("view-unsorted-a"), temp_path("view-unsorted-b"));
-        a.save(&pa).unwrap();
-        b.save(&pb).unwrap();
+        fixture(&["aa"]).save(&pa).unwrap();
+        fixture(&["bb"]).save(&pb).unwrap();
         let (ba, bb) = (fs::read(&pa).unwrap(), fs::read(&pb).unwrap());
-        let record = |bytes: &[u8]| {
-            let start = V2_MAGIC.len() + 8;
-            let len = u32_at(bytes, start).unwrap() as usize;
+        let block = |bytes: &[u8]| {
+            let start = V3_MAGIC.len() + 8;
+            let len = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize;
             bytes[start..start + 4 + len].to_vec()
         };
-        let (ra, rb) = (record(&ba), record(&bb));
+        let (ra, rb) = (block(&ba), block(&bb));
         assert_eq!(ra.len(), rb.len(), "fixtures frame identically");
         let mut swapped = Vec::new();
-        swapped.extend_from_slice(V2_MAGIC);
+        swapped.extend_from_slice(V3_MAGIC);
         swapped.extend_from_slice(&2u64.to_le_bytes());
         let first = swapped.len();
         swapped.extend_from_slice(&rb);
@@ -410,8 +425,8 @@ mod tests {
         swapped.extend_from_slice(&index_offset.to_le_bytes());
         fs::write(&path, &swapped).unwrap();
         match CacheView::open(&path).unwrap_err() {
-            CacheFileError::Malformed { line } => assert_eq!(line, 3, "second record"),
-            other => panic!("expected record attribution, got {other}"),
+            CacheFileError::Malformed { block } => assert_eq!(block, 1, "second block"),
+            other => panic!("expected block attribution, got {other}"),
         }
         for p in [path, pa, pb] {
             fs::remove_file(p).unwrap();
@@ -420,11 +435,13 @@ mod tests {
 
     #[test]
     fn empty_v2_file_is_a_valid_empty_view() {
+        // (The name predates the v3 encoding: an empty cache file is a
+        // valid, empty view.)
         let path = temp_path("view-empty.cache");
         ResultCache::new().save(&path).unwrap();
         let view = CacheView::open(&path).unwrap();
         assert!(view.is_empty());
-        assert!(!view.contains_key("anything"));
+        assert!(!view.contains_key("anything", 0));
         fs::remove_file(path).unwrap();
     }
 }

@@ -1,13 +1,15 @@
 //! The key-compatibility acceptance suite: interned [`CellKey`]s must
 //! resolve to the legacy [`ScenarioGrid::dedup_key`] bytes for every
-//! cell (cache files keyed by `dedup_key` stay warm under the interner),
+//! cell, a `dedup_key` split into its cache key (series token, rate
+//! bits) hits under the interner,
 //! and a warm exploration from a saved cache file must reproduce the
 //! cold run's bytes.
 
 use memstream_core::DesignGoal;
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice};
 use memstream_grid::{
-    DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid, WorkloadProfile,
+    split_dedup_key, DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid,
+    WorkloadProfile,
 };
 
 /// A per-process temp path (concurrent `cargo test` runs share the OS
@@ -74,7 +76,8 @@ fn interner_resolved_keys_hit_caches_written_with_legacy_keys() {
     let mut legacy = ResultCache::new();
     let results = GridExecutor::serial().explore(&grid).expect("explore");
     for (cell, outcome) in results.records() {
-        legacy.insert(grid.dedup_key(&cell), outcome.clone());
+        let (series, rate) = split_dedup_key(&grid.dedup_key(&cell)).expect("canonical key");
+        legacy.insert(&series, rate, outcome.clone());
     }
     let mut warm = legacy.clone();
     let rerun = GridExecutor::serial()

@@ -22,7 +22,7 @@
 //! whole range conflict-free, which holds for any worker count, lease
 //! size or failure pattern that leaves at least one live worker.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::io::BufRead as _;
@@ -35,7 +35,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
-use memstream_grid::{FlushReader, GridError, MergeStats, Metrics, ResultCache};
+use memstream_grid::{
+    render_cache_key, FlushReader, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
+};
 
 use crate::fault::FaultPlan;
 use crate::lease::{LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
@@ -391,9 +393,36 @@ impl ProgressPrinter {
 /// the key universe (for spotting a worker that evaluated a different
 /// grid).
 struct WorkPlan {
-    keys: Vec<String>,
+    /// Series tokens by series id.
+    series: Vec<String>,
+    /// Each unique cell's cache key: its series id and rate bits.
+    keys: Vec<(usize, u64)>,
     covered: Vec<bool>,
-    key_set: HashSet<String>,
+    /// The planned rates of each series token: what a flushed block may
+    /// carry.
+    planned: HashMap<String, HashSet<u64>>,
+}
+
+impl WorkPlan {
+    /// The canonical dedup key of unique cell `idx`, for attributions.
+    fn render(&self, idx: usize) -> String {
+        let (series, rate) = self.keys[idx];
+        render_cache_key(&self.series[series], rate)
+    }
+
+    /// Which planned cells `cache` holds: each series is resolved once,
+    /// then its rates probed.
+    fn held_by(&self, cache: &ResultCache) -> Vec<bool> {
+        let series: Vec<_> = self
+            .series
+            .iter()
+            .map(|token| cache.series(token))
+            .collect();
+        self.keys
+            .iter()
+            .map(|&(s, rate)| series[s].contains(rate))
+            .collect()
+    }
 }
 
 /// The mutable scheduler state shared by collectors and the watchdog.
@@ -538,8 +567,8 @@ struct CollectedWorker {
     failure: Option<(ShardFailureKind, String)>,
 }
 
-/// Polls the flush stream into `local`, verifying every record's key is
-/// part of the planned grid. Records decoded before any damage are kept
+/// Polls the flush stream into `local`, verifying every flushed key is
+/// part of the planned grid. Blocks decoded before any damage are kept
 /// — a dead worker's committed prefix still merges.
 fn absorb_flush(
     reader: &mut FlushReader,
@@ -549,15 +578,23 @@ fn absorb_flush(
     let poll = reader
         .poll()
         .map_err(|e| (ShardFailureKind::FlushCorrupt, format!("flush stream: {e}")))?;
-    let count = poll.records.len();
-    for (key, outcome) in poll.records {
-        if !plan.key_set.contains(&key) {
+    let count = poll.entries();
+    for block in poll.blocks {
+        let planned = plan.planned.get(&block.series);
+        if let Some(&(rate, _)) = block
+            .entries
+            .iter()
+            .find(|(rate, _)| !planned.is_some_and(|rates| rates.contains(rate)))
+        {
             return Err((
                 ShardFailureKind::Incompatible,
-                format!("flushed key `{key}` is not in the planned grid"),
+                format!(
+                    "flushed key `{}` is not in the planned grid",
+                    render_cache_key(&block.series, rate)
+                ),
             ));
         }
-        local.insert(key, outcome);
+        local.insert_series(&block.series, block.entries);
     }
     if poll.damaged {
         return Err((
@@ -571,9 +608,15 @@ fn absorb_flush(
 /// The first cell of `range` the coordinator needed and `local` does not
 /// deliver, if any.
 fn uncovered_cell(plan: &WorkPlan, range: &Range<usize>, local: &ResultCache) -> Option<usize> {
-    range
-        .clone()
-        .find(|&idx| !plan.covered[idx] && !local.contains_key(&plan.keys[idx]))
+    let series: Vec<_> = plan
+        .series
+        .iter()
+        .map(|token| local.series(token))
+        .collect();
+    range.clone().find(|&idx| {
+        let (s, rate) = plan.keys[idx];
+        !plan.covered[idx] && !series[s].contains(rate)
+    })
 }
 
 /// Best-effort kill that never blocks: if the child's mutex is held, its
@@ -685,7 +728,9 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
                         ShardFailureKind::Incompatible,
                         format!(
                             "lease-done {}..{} lacks a flushed record for key `{}`",
-                            range.start, range.end, plan.keys[idx]
+                            range.start,
+                            range.end,
+                            plan.render(idx)
                         ),
                     ));
                     shared.reclaim(worker);
@@ -845,9 +890,20 @@ pub fn explore_sharded(
 ) -> Result<ShardRun, ShardError> {
     let grid = recipe.build();
     let unique = grid.unique_cells();
-    let keys: Vec<String> = unique.iter().map(|c| grid.dedup_key(c)).collect();
-    let covered: Vec<bool> = keys.iter().map(|k| cache.contains_key(k)).collect();
-    let cached = covered.iter().filter(|&&warm| warm).count();
+    let interner = KeyInterner::new(&grid);
+    let mut plan = WorkPlan {
+        series: (0..interner.series_count())
+            .map(|s| interner.series_token(s).to_owned())
+            .collect(),
+        keys: unique
+            .iter()
+            .map(|cell| (interner.series_id(cell), interner.rate_bits(cell)))
+            .collect(),
+        covered: Vec::new(),
+        planned: HashMap::new(),
+    };
+    plan.covered = plan.held_by(cache);
+    let cached = plan.covered.iter().filter(|&&warm| warm).count();
     let missing = unique.len() - cached;
 
     let metrics = &opts.metrics;
@@ -896,12 +952,14 @@ pub fn explore_sharded(
         Some(path)
     };
 
-    let key_set: HashSet<String> = keys.iter().cloned().collect();
-    let plan = Arc::new(WorkPlan {
-        keys,
-        covered,
-        key_set,
-    });
+    // Only a fan-out needs the flush check's rate sets, so the fully
+    // warm short-circuit above skips building them.
+    let mut planned: Vec<HashSet<u64>> = vec![HashSet::new(); plan.series.len()];
+    for &(series, rate) in &plan.keys {
+        planned[series].insert(rate);
+    }
+    plan.planned = plan.series.iter().cloned().zip(planned).collect();
+    let plan = Arc::new(plan);
     let shared = Arc::new(LeaseShared {
         state: Mutex::new(LeaseState {
             queue: LeaseQueue::new(unique.len(), chunk_cells, shards, &plan.covered),
@@ -1115,11 +1173,7 @@ pub fn explore_sharded(
 
     // The run's real verdict: does the merged cache cover the canonical
     // range, conflict-free?
-    let uncovered = plan
-        .keys
-        .iter()
-        .filter(|key| !cache.contains_key(key))
-        .count();
+    let uncovered = plan.held_by(cache).iter().filter(|&&held| !held).count();
     if uncovered > 0 && failures.is_empty() {
         failures.push(ShardFailure {
             shard: 0,

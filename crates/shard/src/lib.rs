@@ -4,9 +4,9 @@
 //! One process already explores a grid on every core with byte-stable
 //! output; the next scale step is **many processes** (and eventually many
 //! hosts). This crate adds exactly that, without inventing a new wire
-//! format: the v2 records of the [`memstream_grid::ResultCache`] file —
-//! until now a warm-start convenience — *are* the distribution protocol
-//! (spec: `docs/CACHE_FORMAT.md`).
+//! format: the v3 series blocks of the [`memstream_grid::ResultCache`]
+//! file — until now a warm-start convenience — *are* the distribution
+//! protocol (spec: `docs/CACHE_FORMAT.md`).
 //!
 //! The model is coordinator/worker with a leased work queue
 //! (spec: `docs/SHARD_PROTOCOL.md`):
@@ -21,8 +21,8 @@
 //!    harness: `harness shard-worker --shard i/N --cache PATH ...`). Each worker asks for work over its **stderr** side-channel
 //!    (`lease-request`), receives grants over **stdin**
 //!    (`lease-grant a..b`), evaluates the granted cells and **flushes
-//!    completed records incrementally** to its per-worker scratch file
-//!    ([`memstream_grid::CacheAppender`]) before announcing
+//!    each completed lease** as v3 series blocks to its per-worker
+//!    scratch file ([`memstream_grid::CacheAppender`]) before announcing
 //!    `lease-done` ([`run_worker`]).
 //! 3. **Collect & reclaim** — a per-worker collector thread tails the
 //!    flush stream ([`memstream_grid::FlushReader`]) as leases complete,
@@ -30,7 +30,7 @@
 //!    heartbeating past a deadline, re-issuing them to live workers.
 //!    Failures land in a per-shard error ledger ([`ShardRun::failures`])
 //!    without poisoning the healthy shards' entries.
-//! 4. **Union & assemble** — collected records merge by
+//! 4. **Union & assemble** — collected blocks merge by
 //!    [`memstream_grid::ResultCache::merge`]: duplicate entries (a
 //!    reclaimed lease finished twice) must be byte-equal or the merge is
 //!    a hard, attributed error. The merged cache replays through the

@@ -58,7 +58,7 @@ pub struct WorkerSpec {
     /// queue).
     pub shard_count: usize,
     /// Where the worker appends its flush stream of freshly evaluated
-    /// records ([`memstream_grid::CacheAppender`]).
+    /// series blocks ([`memstream_grid::CacheAppender`]).
     pub cache: PathBuf,
     /// An optional warm cache to read before evaluating (the
     /// coordinator's accumulated entries); cells found there are not

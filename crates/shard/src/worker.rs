@@ -4,10 +4,10 @@
 //! A worker is deliberately dumb; all scheduling, merging and failure
 //! policy live in the coordinator. It repeatedly asks the coordinator
 //! for a cell-range lease over the stderr/stdin line protocol, resolves
-//! the granted cells, **flushes** the freshly evaluated records to the
-//! output path incrementally ([`CacheAppender`]) and announces
-//! `lease-done` — so a worker that dies mid-run has still delivered
-//! every lease it completed.
+//! the granted cells, **flushes** the freshly evaluated cells to the
+//! output path as v3 series blocks, one append per lease
+//! ([`CacheAppender`]), and announces `lease-done` — so a worker that
+//! dies mid-run has still delivered every lease it completed.
 //!
 //! A [`FaultPlan`] makes a worker misbehave at a deterministic point; the fault-injection suite drives it to prove the
 //! coordinator's recovery machinery preserves byte-identity.
@@ -15,7 +15,10 @@
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
-use memstream_grid::{CacheAppender, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
+use memstream_grid::{
+    CacheAppender, CellOutcome, GridCell, GridExecutor, KeyInterner, Metrics, ResultCache,
+    SeriesBlock,
+};
 
 use crate::fault::FaultPlan;
 use crate::protocol::{
@@ -23,11 +26,12 @@ use crate::protocol::{
     WorkerSpec,
 };
 
-/// How many flush batches a worker splits each lease into, one
-/// heartbeat each. Each batch is one `resolve_cells` pass, so more chunks mean
+/// How many batches a worker splits each lease into, one heartbeat
+/// each. Each batch is one `resolve_cells` pass, so more chunks mean
 /// finer-grained liveness at the cost of re-planning series across chunk
 /// boundaries; four keeps that overhead marginal while a stuck worker is
-/// still spotted within a quarter of its work.
+/// still spotted within a quarter of its work. The lease's fresh cells
+/// are flushed once, after its last batch.
 const PROGRESS_CHUNKS: usize = 4;
 
 /// The exit code of a worker killed by its own [`FaultPlan`] — distinct
@@ -98,7 +102,6 @@ fn run_lease_worker(
     // can distinguish "no results yet" from "wrong file".
     let mut appender = CacheAppender::create(&spec.cache)?;
 
-    let mut evaluated = 0usize; // fresh cells so far — the fault trigger
     let mut completed = 0usize; // cells of fully completed leases
     let mut granted = 0usize; // cells ever granted
     let mut flushed_any = false;
@@ -142,82 +145,77 @@ fn run_lease_worker(
         let cells = &unique[range.clone()];
         let batch_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
         let mut done_in_lease = 0usize;
+        let mut fresh: Vec<(GridCell, CellOutcome)> = Vec::new();
         for batch in cells.chunks(batch_size) {
-            let fresh: Vec<String> = batch
-                .iter()
-                .map(|cell| interner.resolve(interner.key(cell)))
-                .filter(|key| !working.contains_key(key))
-                .collect();
-            executor.resolve_cells(&grid, batch, &mut working);
-            evaluated += fresh.len();
+            fresh.extend(executor.resolve_cells(&grid, batch, &mut working));
             done_in_lease += batch.len();
 
             match spec.fault {
-                Some(FaultPlan::DieAfterCells(k)) if evaluated >= k => {
-                    // Abrupt death: nothing flushed for this batch, no
+                Some(FaultPlan::DieAfterCells(k)) if working.misses() >= k => {
+                    // Abrupt death: nothing flushed for this lease, no
                     // lease-done — the coordinator must reclaim.
                     std::process::exit(FAULT_EXIT);
                 }
-                Some(FaultPlan::StallAfterCells(k)) if evaluated >= k => loop {
+                Some(FaultPlan::StallAfterCells(k)) if working.misses() >= k => loop {
                     // Hold the lease forever without a single further
                     // line; only the coordinator's deadline can end this.
                     std::thread::sleep(Duration::from_secs(60));
                 },
                 _ => {}
             }
-
-            let outcomes: Vec<CellOutcome> = fresh
-                .iter()
-                .map(|key| {
-                    working
-                        .get(key)
-                        .expect("resolve_cells covered every granted cell")
-                })
-                .collect();
-            let records: Vec<(&str, &CellOutcome)> = fresh
-                .iter()
-                .map(String::as_str)
-                .zip(outcomes.iter())
-                .collect();
-            let first_flush = !flushed_any && !records.is_empty();
-            flushed_any = flushed_any || !records.is_empty();
-            match spec.fault {
-                Some(FaultPlan::TruncateFlush) if first_flush => {
-                    // Commit half the batch, tear the stream mid-record,
-                    // die. The committed prefix must survive recovery.
-                    appender.append(records[..records.len() / 2].iter().copied())?;
-                    append_raw(spec, &{
-                        let mut torn = 64u32.to_le_bytes().to_vec();
-                        torn.extend_from_slice(&[0xAB; 7]);
-                        torn
-                    })?;
-                    std::process::exit(FAULT_EXIT);
-                }
-                Some(FaultPlan::CorruptFlush) if first_flush => {
-                    // A complete-but-undecodable record instead of the
-                    // batch; then carry on lying (`lease-done` below for
-                    // work that was never delivered).
-                    append_raw(spec, &{
-                        let mut junk = 8u32.to_le_bytes().to_vec();
-                        junk.extend_from_slice(&[0xAB; 8]);
-                        junk
-                    })?;
-                }
-                _ => {
-                    appender.append(records)?;
-                }
+            if done_in_lease < cells.len() {
+                writeln!(
+                    control,
+                    "{}",
+                    format_progress(
+                        spec.shard,
+                        spec.shard_count,
+                        completed + done_in_lease,
+                        granted
+                    )
+                )?;
             }
-            writeln!(
-                control,
-                "{}",
-                format_progress(
-                    spec.shard,
-                    spec.shard_count,
-                    completed + done_in_lease,
-                    granted
-                )
-            )?;
         }
+
+        let first_flush = !flushed_any && !fresh.is_empty();
+        flushed_any = flushed_any || !fresh.is_empty();
+        match spec.fault {
+            Some(FaultPlan::TruncateFlush) if first_flush => {
+                // Commit half the lease, tear the stream mid-block, die.
+                // The committed prefix must survive recovery.
+                fresh.truncate(fresh.len() / 2);
+                appender.append(&series_blocks(&interner, fresh))?;
+                append_raw(spec, &{
+                    let mut torn = 64u32.to_le_bytes().to_vec();
+                    torn.extend_from_slice(&[0xAB; 7]);
+                    torn
+                })?;
+                std::process::exit(FAULT_EXIT);
+            }
+            Some(FaultPlan::CorruptFlush) if first_flush => {
+                // A complete-but-undecodable block instead of the lease's
+                // blocks; then carry on lying (`lease-done` below for
+                // work that was never delivered).
+                append_raw(spec, &{
+                    let mut junk = 8u32.to_le_bytes().to_vec();
+                    junk.extend_from_slice(&[0xAB; 8]);
+                    junk
+                })?;
+            }
+            _ => {
+                appender.append(&series_blocks(&interner, fresh))?;
+            }
+        }
+        writeln!(
+            control,
+            "{}",
+            format_progress(
+                spec.shard,
+                spec.shard_count,
+                completed + done_in_lease,
+                granted
+            )
+        )?;
 
         completed += cells.len();
         writeln!(
@@ -235,11 +233,29 @@ fn run_lease_worker(
     })
 }
 
+/// Groups freshly evaluated cells into one [`SeriesBlock`] per series,
+/// in series-id order — the unit a flush appends.
+fn series_blocks(interner: &KeyInterner, fresh: Vec<(GridCell, CellOutcome)>) -> Vec<SeriesBlock> {
+    let mut by_series: Vec<Vec<(u64, CellOutcome)>> = vec![Vec::new(); interner.series_count()];
+    for (cell, outcome) in fresh {
+        by_series[interner.series_id(&cell)].push((interner.rate_bits(&cell), outcome));
+    }
+    by_series
+        .into_iter()
+        .enumerate()
+        .filter(|(_, entries)| !entries.is_empty())
+        .map(|(series, entries)| SeriesBlock {
+            series: interner.series_token(series).to_owned(),
+            entries,
+        })
+        .collect()
+}
+
 /// Lenient warm load: a stale or truncated warm file costs
 /// re-evaluation, never correctness. (The coordinator reads *our*
-/// output with the flush reader — that is the wire format.) Lazy: a v2 warm file is indexed, not decoded — warm
-/// planning probes the index and only the cells this worker actually
-/// touches are ever decoded.
+/// output with the flush reader — that is the wire format.) Lazy: a v3
+/// warm file is indexed, not decoded — only the cells this worker
+/// actually touches are ever decoded.
 fn load_warm(spec: &WorkerSpec) -> io::Result<ResultCache> {
     match &spec.warm {
         Some(path) => ResultCache::load_lazy(path),
@@ -272,6 +288,22 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).expect("temp dir");
         dir.join(name)
+    }
+
+    /// Every (series, rate) key a poll returned.
+    fn flushed_keys(poll: &memstream_grid::FlushPoll) -> Vec<(String, u64)> {
+        poll.blocks
+            .iter()
+            .flat_map(|b| b.entries.iter().map(|(rate, _)| (b.series.clone(), *rate)))
+            .collect()
+    }
+
+    /// The cache key of `cell`.
+    fn key_of(interner: &KeyInterner, cell: &GridCell) -> (String, u64) {
+        (
+            interner.series_token(interner.series_id(cell)).to_owned(),
+            interner.rate_bits(cell),
+        )
     }
 
     fn lease_spec(cache: PathBuf, recipe: GridRecipe) -> WorkerSpec {
@@ -315,10 +347,12 @@ mod tests {
 
         let poll = FlushReader::new(path.clone()).poll().unwrap();
         assert!(!poll.damaged);
-        assert_eq!(poll.records.len(), range.len());
+        assert_eq!(poll.entries(), range.len());
+        let interner = KeyInterner::new(&grid);
+        let flushed = flushed_keys(&poll);
         for cell in &unique[range] {
-            let key = grid.dedup_key(cell);
-            assert!(poll.records.iter().any(|(k, _)| *k == key), "{key} missing");
+            let key = key_of(&interner, cell);
+            assert!(flushed.contains(&key), "{key:?} missing");
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -407,10 +441,12 @@ mod tests {
         let mut reader = FlushReader::new(path.clone());
         let poll = reader.poll().unwrap();
         assert!(!poll.damaged);
-        assert_eq!(poll.records.len(), len);
+        assert_eq!(poll.entries(), len);
+        let interner = KeyInterner::new(&grid);
+        let flushed = flushed_keys(&poll);
         for cell in &unique {
-            let key = grid.dedup_key(cell);
-            assert!(poll.records.iter().any(|(k, _)| *k == key), "{key} missing");
+            let key = key_of(&interner, cell);
+            assert!(flushed.contains(&key), "{key:?} missing");
         }
         // The flush stream is also a lenient-loadable cache.
         let loaded = ResultCache::load_lazy(&path).unwrap();
@@ -432,7 +468,7 @@ mod tests {
         assert_eq!(summary.assigned, 2);
         assert!(2 <= len);
         let poll = FlushReader::new(path.clone()).poll().unwrap();
-        assert_eq!(poll.records.len(), 2, "the completed lease was flushed");
+        assert_eq!(poll.entries(), 2, "the completed lease was flushed");
         std::fs::remove_file(path).unwrap();
     }
 
@@ -487,7 +523,7 @@ mod tests {
         assert_eq!(summary.warm_hits, 2);
 
         let poll = FlushReader::new(path.clone()).poll().unwrap();
-        assert_eq!(poll.records.len(), len - 2, "warm cells stay out");
+        assert_eq!(poll.entries(), len - 2, "warm cells stay out");
         for p in [warm_path, path] {
             std::fs::remove_file(p).unwrap();
         }
